@@ -69,8 +69,10 @@ def _cmd_satisfy(args) -> int:
     for i, config in enumerate(outcome.solutions):
         (out_dir / f"solution-{i}.xml").write_bytes(
             ddd.to_xml(config, doc, cs_name))
-    print(f"{len(outcome.solutions)} solution(s), "
-          f"{outcome.stats.nodes} nodes, exhausted={outcome.exhausted}")
+    stats = outcome.stats
+    print(f"{len(outcome.solutions)} solution(s), {stats.nodes} nodes "
+          f"({stats.placement_nodes} placement, {stats.wiring_nodes} wiring), "
+          f"exhausted={outcome.exhausted}")
     return 0 if outcome.solutions else 2
 
 

@@ -5,8 +5,9 @@ configuration, and a handle on the fabric it manages. Fabric events drive
 the autonomic cycle: a process failure is repaired in place (reinstantiate
 the same instance and rewire its channels); a host failure drops the host
 from the resources and re-solves with the surviving bindings pinned,
-relaxing pins progressively; if nothing works a constraint error is issued
-and the fabric is left untouched.
+relaxing pins progressively; if nothing works, or the search runs out of
+node budget before it can tell, a constraint error is issued and the fabric
+is left untouched.
 
 External interface: five methods over length-prefixed frames (4-byte
 big-endian payload length, UTF-8 payload). Requests put the method name on
@@ -198,6 +199,10 @@ class Manager:
         """Solve and enact the initial deployment."""
         opts = replace(self.options, pins=pins, prior=prior, solution_limit=1)
         outcome = solver.solve(self.doc, self.cs_name, opts)
+        if not outcome.solutions and not outcome.exhausted:
+            return self._record(ConstraintError(
+                f"node budget of {opts.node_budget} ran out; "
+                f"satisfiability of {self.cs_name} unknown"))
         if not outcome.solutions:
             return self._record(ConstraintError(
                 f"no configuration satisfies {self.cs_name}"))
@@ -257,27 +262,9 @@ class Manager:
     def _host_failure(self, failure: HostFailure) -> Decision:
         if self.doc.host(failure.host) is None:
             return self._record(NoOp(f"host {failure.host} already dropped"))
-        doc2 = evolve_resources(self.doc, {failure.host}, [])
-        self.doc = doc2
-        base = self._surviving()
-        doc_hosts = {h.name for h in doc2.hosts}
-        pins = tuple(b for b in model.bindings_of(base) if b.host in doc_hosts)
-        try:
-            config, removed = solver.resolve_with_relaxation(
-                doc2, self.cs_name, list(pins),
-                replace(self.options, prior=base))
-        except solver.NoSolution:
-            return self._record(ConstraintError(
-                f"no configuration satisfies {self.cs_name} "
-                f"after losing {failure.host}"))
-        decision = Resolve(tuple(removed), config)
-        self._record(decision)
-        plan = ddd.diff(base, config, doc2)
-        try:
-            self._enact(plan, config)
-        except HostDown as e:
-            return self._record(ConstraintError(f"enactment raced a failure: {e}"))
-        return decision
+        self.doc = evolve_resources(self.doc, {failure.host}, [])
+        return self._resolve(f"no configuration satisfies {self.cs_name} "
+                             f"after losing {failure.host}")
 
     def _revise(self, event: Revise) -> Decision:
         try:
@@ -290,18 +277,26 @@ class Manager:
             return self._record(ConstraintError(f"revision rejected: {e}"))
         self.doc = doc2
         self.cs_name = cs_name
+        return self._resolve(
+            f"no configuration satisfies revised goal {cs_name}")
+
+    def _resolve(self, unsatisfiable: str) -> Decision:
+        """Re-solve the current goal with the surviving bindings pinned,
+        relaxing pins as needed, and enact the change. When no answer comes
+        out, record a constraint error and leave the fabric untouched."""
         base = self._surviving()
-        doc_hosts = {h.name for h in doc2.hosts}
-        pins = tuple(b for b in model.bindings_of(base) if b.host in doc_hosts)
+        doc_hosts = {h.name for h in self.doc.hosts}
+        pins = [b for b in model.bindings_of(base) if b.host in doc_hosts]
         try:
             config, removed = solver.resolve_with_relaxation(
-                doc2, cs_name, list(pins), replace(self.options, prior=base))
+                self.doc, self.cs_name, pins, replace(self.options, prior=base))
         except solver.NoSolution:
-            return self._record(ConstraintError(
-                f"no configuration satisfies revised goal {cs_name}"))
+            return self._record(ConstraintError(unsatisfiable))
+        except solver.SearchBudgetExceeded as e:
+            return self._record(ConstraintError(str(e)))
         decision = Resolve(tuple(removed), config)
         self._record(decision)
-        plan = ddd.diff(base, config, doc2)
+        plan = ddd.diff(base, config, self.doc)
         try:
             self._enact(plan, config)
         except HostDown as e:
@@ -455,7 +450,13 @@ def serve(manager: Manager, listener: socket.socket) -> None:
                 frame = read_frame(conn)
                 if frame is None:
                     break
-                text = frame.decode()
+                try:
+                    text = frame.decode()
+                except UnicodeDecodeError as e:
+                    write_frame(conn, f"error\nMalformedPayload: request is "
+                                      f"not UTF-8 ({e.reason} at byte "
+                                      f"{e.start})".encode())
+                    continue
                 method, _, body = text.partition("\n")
                 response = manager.handle_request(method.strip(), body)
                 write_frame(conn, response)

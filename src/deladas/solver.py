@@ -1,12 +1,25 @@
 """Configuration search: find placements and wirings satisfying a goal.
 
-The search runs in two phases. Placement assigns each host a small multiset
-of instances within bounds; wiring then decides, for every candidate channel,
-whether it is present. Candidate channels are the instantiations of the
-`connectsto` patterns appearing in the selected constraintset (typed port
-pairs, oriented as written). Both phases prune with a three-valued partial
-evaluation of the constraints: a clause that is already false under every
-completion of the current partial wiring cuts the branch.
+The search runs in two phases, both depth-first and both pruned by a
+three-valued partial evaluation of the constraints (_PartialEval): False
+means false in every completion of the current node, True means true in
+every completion.
+
+Placement assigns hosts, in declaration order, a small multiset of
+instances within bounds. After each assignment the still-open
+placement-only clauses (those quantifying over hosts alone and reading only
+instance counts) are evaluated with every unassigned host's counts read as
+the interval [pin floor, max_instances_per_host]; a False cuts the branch.
+Clauses that mention instances or channels wait for the wiring phase.
+
+Wiring then decides, for every candidate channel, whether it is present.
+Candidate channels are the instantiations of the `connectsto` patterns
+appearing in the selected constraintset (typed port pairs, oriented as
+written), built once per placement. Each decision includes or excludes one
+edge in the evaluator's incremental state and is undone on backtrack. At
+each node only the clauses not yet entailed are evaluated: a False cuts the
+branch, and a True stays true in every descendant, so it is dropped from the
+set passed down.
 
 Determinism: hosts and types are tried in declaration order (per host: empty
 first, then single instances of earlier-declared types, and so on); candidate
@@ -14,7 +27,8 @@ channels are tried in canonical (src, dst) order with channels present in
 opts.prior tried include-first so surviving structure is retained on
 re-solves. Symmetry is broken by dense instance ordinals and by assigning
 variadic port indices canonically (sorted by peer), so no two search leaves
-materialize the same configuration.
+materialize the same configuration. Pruning only skips subtrees without
+solutions, so the solution sequence is that of the unpruned search.
 
 enumerate_all is the independent oracle: exhaustive generate-and-test over
 the same bounded space using only evaluator.check.
@@ -25,11 +39,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import evaluator
-from .lang import (And, Compare, ConnectsTo, ConstraintSet, DeladasError,
-                   HOST_SORT, InstancesOf, IntLiteral, Or, Quantified,
-                   Reachable, SpecDocument, ValidationError, Var)
+from .lang import (And, Card, Compare, ConnectedTo, ConnectsTo, ConstraintSet,
+                   DeladasError, HOST_SORT, InstancesOf, IntLiteral, Or,
+                   Quantified, Reachable, SpecDocument, ValidationError, Var)
 from .model import (Binding, Channel, Configuration, Instance, InstanceId,
                     PortSlot, binding_sort_key, validate)
 
@@ -50,6 +65,11 @@ class NoSolution(DeladasError):
     """Even with every pin removed the bounded problem is unsatisfiable."""
 
 
+class SearchBudgetExceeded(DeladasError):
+    """The node budget ran out before the search could decide: the answer
+    is unknown, not unsatisfiable."""
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     max_instances_per_host: int = 1
@@ -63,8 +83,16 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveStats:
-    nodes: int
+    """Search effort: placement nodes (host assignments tried), wiring
+    nodes (candidate-channel decisions tried) and wall-clock seconds."""
+
+    placement_nodes: int
+    wiring_nodes: int
     seconds: float
+
+    @property
+    def nodes(self) -> int:
+        return self.placement_nodes + self.wiring_nodes
 
 
 @dataclass(frozen=True)
@@ -82,9 +110,10 @@ ORACLE_MAX_HOSTS_TIMES_TYPES = 12
 ORACLE_MAX_CANDIDATES = 24
 
 
-@dataclass(frozen=True)
-class _Edge:
-    """A candidate channel at port-family level (indices assigned later)."""
+class _Edge(NamedTuple):
+    """A candidate channel at port-family level (indices assigned later).
+
+    The tuple itself is the port family the evaluator looks up."""
 
     src: InstanceId
     src_port: str
@@ -119,6 +148,15 @@ def _check_options(doc: SpecDocument, opts: SolveOptions) -> SolveOptions:
     return replace(opts, max_total_instances=total)
 
 
+def _pin_floors(pins: tuple[Binding, ...]) -> dict[str, dict[str, int]]:
+    """Per host and type, the largest pinned count."""
+    floors: dict[str, dict[str, int]] = {}
+    for pin in pins:
+        per_type = floors.setdefault(pin.host, {})
+        per_type[pin.type] = max(per_type.get(pin.type, 0), pin.count)
+    return floors
+
+
 def connect_patterns(cs: ConstraintSet) -> list[tuple[str, str, str, str]]:
     """Typed (src type, src port, dst type, dst port) patterns from the
     constraintset's connectsto leaves, in first-appearance order."""
@@ -144,6 +182,20 @@ def connect_patterns(cs: ConstraintSet) -> list[tuple[str, str, str, str]]:
     return seen
 
 
+def _placement_only(expr) -> bool:
+    """True when expr reads instance counts only: it quantifies over hosts
+    alone and has no connectsto, reachable or card(... connectedto ...)."""
+    if isinstance(expr, Quantified):
+        return (all(b.sort == HOST_SORT for b in expr.binders)
+                and _placement_only(expr.body))
+    if isinstance(expr, (And, Or)):
+        return all(_placement_only(item) for item in expr.items)
+    if isinstance(expr, Compare):
+        return not any(isinstance(v, Card) and isinstance(v.inner, ConnectedTo)
+                       for v in (expr.lhs, expr.rhs))
+    return False
+
+
 class _Budget(Exception):
     pass
 
@@ -165,8 +217,31 @@ class _Placement:
             self.by_type.setdefault(inst.type, []).append(inst.id)
         self.hosts = [h.name for h in doc.hosts]
 
-    def count_on(self, host: str, type_name: str) -> int:
-        return self.counts.get((host, type_name), 0)
+    def count_bounds(self, host: str, type_name: str) -> tuple[int, int]:
+        n = self.counts.get((host, type_name), 0)
+        return (n, n)
+
+
+class _PartialPlacement:
+    """The placement phase's view of the hosts assigned so far.
+
+    Assigned hosts have an entry per type in the shared counts dict; the
+    others may still receive anything from their pin floor up to the
+    per-host bound. No instance exists yet, so only clauses that quantify
+    over hosts alone can be evaluated against it."""
+
+    def __init__(self, doc: SpecDocument, counts: dict[tuple[str, str], int],
+                 floors: dict[str, dict[str, int]], per_host: int):
+        self.counts = counts
+        self.floors = floors
+        self.per_host = per_host
+        self.hosts = [h.name for h in doc.hosts]
+
+    def count_bounds(self, host: str, type_name: str) -> tuple[int, int]:
+        n = self.counts.get((host, type_name))
+        if n is not None:
+            return (n, n)
+        return (self.floors.get(host, {}).get(type_name, 0), self.per_host)
 
 
 def _candidate_edges(placement: _Placement,
@@ -180,53 +255,93 @@ def _candidate_edges(placement: _Placement,
     return sorted(edges, key=_Edge.key)
 
 
-class _PartialEval:
-    """Three-valued constraint evaluation over a partial wiring.
+class _EdgeSet:
+    """A set of candidate edges in the three shapes the evaluator reads:
+    port families, directed adjacency and undirected neighbours.
 
-    Edges split into definitely-in and still-possible; every predicate is
-    monotone in the edge set, so False here means false in all completions.
+    Several port families can join the same two instances, so adjacency
+    keeps a reference count per ordered pair and drops a neighbour only
+    when its last edge goes."""
+
+    def __init__(self, edges=()):
+        self.families: set[_Edge] = set()
+        self.adj: dict[InstanceId, set[InstanceId]] = {}
+        self.neigh: dict[InstanceId, set[InstanceId]] = {}
+        self._adj_refs: dict[tuple[InstanceId, InstanceId], int] = {}
+        self._neigh_refs: dict[tuple[InstanceId, InstanceId], int] = {}
+        for edge in edges:
+            self.add(edge)
+
+    def add(self, edge: _Edge) -> None:
+        self.families.add(edge)
+        u, v = edge.src, edge.dst
+        _ref(self.adj, self._adj_refs, u, v)
+        _ref(self.neigh, self._neigh_refs, u, v)
+        _ref(self.neigh, self._neigh_refs, v, u)
+
+    def remove(self, edge: _Edge) -> None:
+        self.families.discard(edge)
+        u, v = edge.src, edge.dst
+        _unref(self.adj, self._adj_refs, u, v)
+        _unref(self.neigh, self._neigh_refs, u, v)
+        _unref(self.neigh, self._neigh_refs, v, u)
+
+
+def _ref(sets, refs, u, v) -> None:
+    n = refs.get((u, v), 0)
+    refs[(u, v)] = n + 1
+    if n == 0:
+        sets.setdefault(u, set()).add(v)
+
+
+def _unref(sets, refs, u, v) -> None:
+    n = refs[(u, v)] - 1
+    refs[(u, v)] = n
+    if n == 0:
+        sets[u].discard(v)
+
+
+class _PartialEval:
+    """Three-valued constraint evaluation over a partial placement or a
+    partial wiring.
+
+    Instance counts are intervals (exact once a host is placed). Edges split
+    into definitely-in (`sure`) and not-yet-excluded (`possible`); the
+    wiring search moves one edge at a time with include/exclude and undoes
+    the move on backtrack. Every predicate is monotone in the counts and
+    the edge set, so False here means false in every completion and True
+    means true in every completion.
     """
 
-    def __init__(self, placement: _Placement, cs: ConstraintSet):
+    def __init__(self, placement, constraints, candidates=()):
         self.placement = placement
-        self.cs = cs
-        self.fam_in: set[tuple[InstanceId, str, InstanceId, str]] = set()
-        self.fam_maybe: set[tuple[InstanceId, str, InstanceId, str]] = set()
-        self.adj_in: dict[InstanceId, set[InstanceId]] = {}
-        self.adj_maybe: dict[InstanceId, set[InstanceId]] = {}
-        self.neigh_in: dict[InstanceId, set[InstanceId]] = {}
-        self.neigh_maybe: dict[InstanceId, set[InstanceId]] = {}
+        self.constraints = constraints
+        self.sure = _EdgeSet()
+        self.possible = _EdgeSet(candidates)
 
-    def load(self, candidates: list[_Edge], status: list[int]) -> None:
-        self.fam_in.clear()
-        self.fam_maybe.clear()
-        self.adj_in.clear()
-        self.adj_maybe.clear()
-        self.neigh_in.clear()
-        self.neigh_maybe.clear()
-        for edge, st in zip(candidates, status):
-            if st == -1:
-                continue
-            fam = (edge.src, edge.src_port, edge.dst, edge.dst_port)
-            self.fam_maybe.add(fam)
-            self.adj_maybe.setdefault(edge.src, set()).add(edge.dst)
-            self.neigh_maybe.setdefault(edge.src, set()).add(edge.dst)
-            self.neigh_maybe.setdefault(edge.dst, set()).add(edge.src)
-            if st == 1:
-                self.fam_in.add(fam)
-                self.adj_in.setdefault(edge.src, set()).add(edge.dst)
-                self.neigh_in.setdefault(edge.src, set()).add(edge.dst)
-                self.neigh_in.setdefault(edge.dst, set()).add(edge.src)
+    def include(self, edge: _Edge) -> None:
+        self.sure.add(edge)
 
-    def verdict(self) -> bool | None:
-        result: bool | None = True
-        for constraint in self.cs.constraints:
-            v = self._eval(constraint, {})
+    def undo_include(self, edge: _Edge) -> None:
+        self.sure.remove(edge)
+
+    def exclude(self, edge: _Edge) -> None:
+        self.possible.remove(edge)
+
+    def undo_exclude(self, edge: _Edge) -> None:
+        self.possible.add(edge)
+
+    def open_clauses(self, clauses: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The clauses (by index) not yet true in every completion, or None
+        when one of them is false in every completion."""
+        still = []
+        for index in clauses:
+            v = self._eval(self.constraints[index], {})
             if v is False:
-                return False
+                return None
             if v is None:
-                result = None
-        return result
+                still.append(index)
+        return tuple(still)
 
     # -- three-valued recursion ------------------------------------------------
 
@@ -285,17 +400,17 @@ class _PartialEval:
             q = env[expr.dst.var][1]
             fam = (p, expr.src.port, q, expr.dst.port)
             rev = (q, expr.dst.port, p, expr.src.port)
-            if fam in self.fam_in or rev in self.fam_in:
+            if fam in self.sure.families or rev in self.sure.families:
                 return True
-            if fam in self.fam_maybe or rev in self.fam_maybe:
+            if fam in self.possible.families or rev in self.possible.families:
                 return None
             return False
         if isinstance(expr, Reachable):
             a = env[expr.a][1]
             b = env[expr.b][1]
-            if self._path(a, b, self.adj_in):
+            if self._path(a, b, self.sure.adj):
                 return True
-            if self._path(a, b, self.adj_maybe):
+            if self._path(a, b, self.possible.adj):
                 return None
             return False
         raise DeladasError(f"not a constraint expression: {expr!r}")
@@ -323,13 +438,12 @@ class _PartialEval:
             return env[value.name]
         inner = value.inner
         if isinstance(inner, InstancesOf):
-            host = env[inner.host_var][1]
-            n = self.placement.count_on(host, inner.type_name)
-            return (n, n)
+            return self.placement.count_bounds(env[inner.host_var][1],
+                                               inner.type_name)
         peer = env[inner.peer_var][1]
-        of_type = set(self.placement.by_type.get(inner.type_name, ()))
-        lo = len(of_type & self.neigh_in.get(peer, set()))
-        hi = len(of_type & self.neigh_maybe.get(peer, set()))
+        name = inner.type_name
+        lo = sum(1 for i in self.sure.neigh.get(peer, ()) if i.type == name)
+        hi = sum(1 for i in self.possible.neigh.get(peer, ()) if i.type == name)
         return (lo, hi)
 
     def _compare(self, expr: Compare, env) -> bool | None:
@@ -425,93 +539,104 @@ class _Search:
         self.cs = cs
         self.opts = opts
         self.patterns = connect_patterns(cs)
-        self.nodes = 0
+        self.placement_nodes = 0
+        self.wiring_nodes = 0
         self.solutions: list[Configuration] = []
         self.prior_edges: set[tuple] = set()
         if opts.prior is not None:
             for ch in opts.prior.channels:
                 self.prior_edges.add((ch.src.instance, ch.src.port,
                                       ch.dst.instance, ch.dst.port))
-        self.pin_floors: dict[str, dict[str, int]] = {}
-        for pin in opts.pins:
-            self.pin_floors.setdefault(pin.host, {})
-            self.pin_floors[pin.host][pin.type] = max(
-                self.pin_floors[pin.host].get(pin.type, 0), pin.count)
+        self.pin_floors = _pin_floors(opts.pins)
+        # Non-variadic ports admit a single channel per instance.
+        self.fixed_ports = {(c.name, p.name) for c in doc.components
+                            for p in c.ports if not p.variadic}
+        clauses = range(len(cs.constraints))
+        self.placement_clauses = tuple(
+            i for i in clauses if _placement_only(cs.constraints[i]))
+        self.wiring_clauses = tuple(
+            i for i in clauses if i not in self.placement_clauses)
 
-    def _tick(self):
-        self.nodes += 1
+    def _check_budget(self):
         if (self.opts.node_budget is not None
-                and self.nodes > self.opts.node_budget):
+                and self.placement_nodes + self.wiring_nodes
+                > self.opts.node_budget):
             raise _Budget()
 
     def placements(self):
-        """Yield complete placements in canonical order, bounds respected."""
+        """Yield complete placements in canonical order, bounds respected,
+        each with its placement-only clauses that are still open (none,
+        unless there are no hosts to place on).
+
+        Every host assignment re-evaluates the open placement-only clauses
+        with unassigned hosts read as count intervals, and a clause false
+        in every completion cuts the branch."""
         hosts = self.doc.hosts
         types = [c.name for c in self.doc.components]
+        per_host = self.opts.max_instances_per_host
         counts: dict[tuple[str, str], int] = {}
+        ev = _PartialEval(_PartialPlacement(self.doc, counts, self.pin_floors,
+                                            per_host),
+                          self.cs.constraints)
 
-        def assign(i: int, total: int):
+        def assign(i: int, total: int, clauses: tuple[int, ...]):
             if i == len(hosts):
-                yield _Placement(self.doc, dict(counts))
+                yield _Placement(self.doc, dict(counts)), clauses
                 return
             host = hosts[i].name
             floors = self.pin_floors.get(host, {})
-            for vector in _count_vectors(types, self.opts.max_instances_per_host,
-                                         floors):
+            for vector in _count_vectors(types, per_host, floors):
                 extra = sum(vector)
                 if total + extra > self.opts.max_total_instances:
                     continue
-                self._tick()
+                self.placement_nodes += 1
+                self._check_budget()
                 for t, n in zip(types, vector):
                     counts[(host, t)] = n
-                yield from assign(i + 1, total + extra)
+                still = ev.open_clauses(clauses)
+                if still is not None:
+                    yield from assign(i + 1, total + extra, still)
             for t in types:
                 counts.pop((host, t), None)
 
-        yield from assign(0, 0)
+        yield from assign(0, 0, self.placement_clauses)
 
     def run(self) -> bool:
         """DFS over placements and wirings; returns True if fully explored."""
         try:
-            for placement in self.placements():
-                if not self._wire(placement):
+            for placement, clauses in self.placements():
+                if not self._wire(placement,
+                                  tuple(sorted(clauses + self.wiring_clauses))):
                     return False  # solution limit reached
             return True
         except _Budget:
             return False
 
-    def _wire(self, placement: _Placement) -> bool:
+    def _wire(self, placement: _Placement, clauses: tuple[int, ...]) -> bool:
         candidates = _candidate_edges(placement, self.patterns)
         # Decide surviving channels first so backtracking disturbs them last.
         if self.prior_edges:
-            candidates.sort(key=lambda e: (
-                (e.src, e.src_port, e.dst, e.dst_port) not in self.prior_edges,
-                e.key()))
+            candidates.sort(key=lambda e: (e not in self.prior_edges, e.key()))
+        prefer_in = [e in self.prior_edges for e in candidates]
+        fixed = [tuple(fam for fam in ((e.src, e.src_port), (e.dst, e.dst_port))
+                       if (fam[0].type, fam[1]) in self.fixed_ports)
+                 for e in candidates]
         budget = self.opts.channel_budget
         if budget is None:
             budget = len(placement.instances) ** 2
-        ev = _PartialEval(placement, self.cs)
-        status = [0] * len(candidates)
+        ev = _PartialEval(placement, self.cs.constraints, candidates)
+        used_fixed: set[tuple[InstanceId, str]] = set()
+        chosen: list[_Edge] = []
 
-        # Non-variadic port families admit a single channel; track usage.
-        fixed_family: dict[tuple[InstanceId, str], int] = {}
-
-        def family_fixed(inst: InstanceId, port: str) -> bool:
-            ctype = self.doc.component(inst.type)
-            pdecl = ctype.port(port) if ctype else None
-            return pdecl is not None and not pdecl.variadic
-
-        def dfs(i: int, in_count: int) -> bool:
-            self._tick()
-            ev.load(candidates, status)
-            verdict = ev.verdict()
-            if verdict is False:
+        def dfs(i: int, clauses: tuple[int, ...]) -> bool:
+            self.wiring_nodes += 1
+            self._check_budget()
+            still = ev.open_clauses(clauses)
+            if still is None:
                 return True
             if i == len(candidates):
-                if verdict is True:
-                    config = _materialize(self.doc, placement,
-                                          [e for e, st in zip(candidates, status)
-                                           if st == 1])
+                if not still:
+                    config = _materialize(self.doc, placement, chosen)
                     problems = validate(config, self.doc)
                     if problems:  # pragma: no cover - guarded by construction
                         raise DeladasError(
@@ -524,35 +649,28 @@ class _Search:
                     return len(self.solutions) < self.opts.solution_limit
                 return True
             edge = candidates[i]
-            fam_s = (edge.src, edge.src_port)
-            fam_d = (edge.dst, edge.dst_port)
-            include_ok = in_count < budget
-            if include_ok and family_fixed(*fam_s) and fixed_family.get(fam_s):
-                include_ok = False
-            if include_ok and family_fixed(*fam_d) and fixed_family.get(fam_d):
-                include_ok = False
-            prefer_in = (edge.src, edge.src_port,
-                         edge.dst, edge.dst_port) in self.prior_edges
-            order = (1, -1) if prefer_in else (-1, 1)
-            for value in order:
-                if value == 1 and not include_ok:
-                    continue
-                status[i] = value
-                if value == 1:
-                    for fam in (fam_s, fam_d):
-                        if family_fixed(*fam):
-                            fixed_family[fam] = fixed_family.get(fam, 0) + 1
-                keep_going = dfs(i + 1, in_count + (1 if value == 1 else 0))
-                if value == 1:
-                    for fam in (fam_s, fam_d):
-                        if family_fixed(*fam):
-                            fixed_family[fam] -= 1
-                status[i] = 0
+            include_ok = (len(chosen) < budget
+                          and not any(f in used_fixed for f in fixed[i]))
+            for include in ((True, False) if prefer_in[i] else (False, True)):
+                if include:
+                    if not include_ok:
+                        continue
+                    ev.include(edge)
+                    used_fixed.update(fixed[i])
+                    chosen.append(edge)
+                    keep_going = dfs(i + 1, still)
+                    chosen.pop()
+                    used_fixed.difference_update(fixed[i])
+                    ev.undo_include(edge)
+                else:
+                    ev.exclude(edge)
+                    keep_going = dfs(i + 1, still)
+                    ev.undo_exclude(edge)
                 if not keep_going:
                     return False
             return True
 
-        return dfs(0, 0)
+        return dfs(0, clauses)
 
 
 def solve(doc: SpecDocument, cs_name: str,
@@ -572,7 +690,8 @@ def solve(doc: SpecDocument, cs_name: str,
     exhausted = search.run()
     elapsed = time.perf_counter() - started
     return SolveOutcome(tuple(search.solutions), exhausted,
-                        SolveStats(search.nodes, elapsed))
+                        SolveStats(search.placement_nodes, search.wiring_nodes,
+                                   elapsed))
 
 
 def resolve_with_relaxation(doc: SpecDocument, cs_name: str,
@@ -583,7 +702,10 @@ def resolve_with_relaxation(doc: SpecDocument, cs_name: str,
 
     Iterative deepening on the number of removed pins; for each depth,
     removal subsets are tried in lexicographic canonical order. Raises
-    NoSolution when even the pin-free problem is unsatisfiable.
+    NoSolution when even the pin-free problem is unsatisfiable, and
+    SearchBudgetExceeded when a solve runs out of node budget before
+    deciding, since dropping more pins past an unknown answer could drop
+    pins that a solution keeps.
     """
     opts = opts or SolveOptions()
     ordered = sorted(pins, key=lambda b: binding_sort_key(b, doc))
@@ -596,6 +718,11 @@ def resolve_with_relaxation(doc: SpecDocument, cs_name: str,
                             replace(opts, pins=kept, solution_limit=1))
             if outcome.solutions:
                 return outcome.solutions[0], [ordered[i] for i in removed]
+            if not outcome.exhausted:
+                raise SearchBudgetExceeded(
+                    f"node budget of {opts.node_budget} ran out with {k} of "
+                    f"{len(ordered)} pins removed; satisfiability of "
+                    f"{cs_name} unknown")
     raise NoSolution(
         f"no configuration satisfies {cs_name} even with all pins removed")
 
@@ -605,7 +732,8 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
     """Exhaustive generate-and-test oracle over the bounded space.
 
     Independent of the solver: every structurally valid placement/wiring in
-    the space is materialized and judged by evaluator.check alone.
+    the space is materialized and judged by evaluator.check alone. Its
+    placement_nodes count every placement in the bounded space.
     """
     opts = _check_options(doc, opts or SolveOptions())
     cs = doc.constraintset(cs_name)
@@ -616,8 +744,17 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
             f"hosts x types = {len(doc.hosts) * len(doc.components)} "
             f"> {ORACLE_MAX_HOSTS_TIMES_TYPES}")
     patterns = connect_patterns(cs)
-    probe = _Search(doc, cs, opts)
-    placements = list(probe.placements())
+    types = [c.name for c in doc.components]
+    floors = _pin_floors(opts.pins)
+    per_host = [_count_vectors(types, opts.max_instances_per_host,
+                               floors.get(h.name, {})) for h in doc.hosts]
+    placements = []
+    for vectors in itertools.product(*per_host):
+        if sum(map(sum, vectors)) > opts.max_total_instances:
+            continue
+        placements.append(_Placement(doc, {
+            (h.name, t): n for h, vector in zip(doc.hosts, vectors)
+            for t, n in zip(types, vector)}))
     worst = max((len(_candidate_edges(p, patterns)) for p in placements),
                 default=0)
     if worst > ORACLE_MAX_CANDIDATES:
@@ -661,4 +798,5 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
             if evaluator.check(config, cs, doc).satisfied:
                 solutions.append(config)
     elapsed = time.perf_counter() - started
-    return SolveOutcome(tuple(solutions), True, SolveStats(nodes, elapsed))
+    return SolveOutcome(tuple(solutions), True,
+                        SolveStats(len(placements), nodes, elapsed))

@@ -88,8 +88,15 @@ def parse_snippet(text: str) -> lang.SpecDocument:
 
 def three_host_doc() -> lang.SpecDocument:
     """The six-host example reduced to its first three hosts."""
+    return randc_doc(3)
+
+
+def randc_doc(hosts: int) -> lang.SpecDocument:
+    """The sample goal over hosts h1..hN, addressed as in the sample."""
     doc = merged_doc()
-    return lang.SpecDocument(doc.components, doc.hosts[:3], doc.constraintsets)
+    specs = tuple(lang.HostSpec(f"h{i}", (("ipaddress", f"192.168.0.{i}"),))
+                  for i in range(1, hosts + 1))
+    return lang.SpecDocument(doc.components, specs, doc.constraintsets)
 
 
 def rng(seed: int = 0) -> random.Random:

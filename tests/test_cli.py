@@ -44,6 +44,8 @@ class TestSatisfyCommand:
         assert code == 0
         files = sorted(p.name for p in out_dir.iterdir())
         assert files == ["solution-0.xml", "solution-1.xml"]
+        summary = capsys.readouterr().out
+        assert "placement" in summary and "wiring" in summary
         doc = helpers.merged_doc()
         for name in files:
             config = ddd.from_xml((out_dir / name).read_bytes(), doc)

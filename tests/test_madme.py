@@ -196,6 +196,35 @@ class TestConstraintError:
         assert effects == []
         assert manager.saw_constraint_error
 
+    def test_budget_hit_is_reported_unknown(self):
+        """A re-solve that runs out of node budget keeps every pin and the
+        fabric as they are, and says the answer is unknown."""
+        manager = example_manager()
+        manager.options = solver.SolveOptions(node_budget=5)
+        fab = manager.fabric
+        deployed_before = manager.deployed
+        fab.inject(CrashHost(20, "h3"))
+        fab.step()
+        trace_mark = len(fab.trace)
+        decisions = manager.on_events(fab.step())
+        assert len(decisions) == 1
+        assert isinstance(decisions[0], ConstraintError)
+        assert "unknown" in decisions[0].detail
+        assert "no configuration satisfies" not in decisions[0].detail
+        assert manager.deployed == deployed_before
+        effects = [l for l in fab.trace[trace_mark:]
+                   if l.split()[1] in ("install", "instantiate", "terminate",
+                                       "wire", "unwire")]
+        assert effects == []
+
+    def test_initial_budget_hit_is_reported_unknown(self):
+        doc = helpers.merged_doc()
+        fab = fabric_mod.boot(list(doc.hosts), seed=0)
+        manager = Manager(doc, "randc", fab, solver.SolveOptions(node_budget=5))
+        decision = manager.deploy_initial()
+        assert isinstance(decision, ConstraintError)
+        assert "unknown" in decision.detail
+
 
 class TestGoalRestoration:
     @pytest.mark.parametrize("event", [
@@ -352,6 +381,27 @@ class TestFraming:
             ok, deployment = madme.request(sock, "get-deployment")
             assert ok
             assert deployment.rstrip("\n") == solution.rstrip("\n")
+            sock.close()
+        finally:
+            listener.close()
+
+
+    def test_server_survives_a_non_utf8_frame(self):
+        doc = helpers.merged_doc()
+        manager = Manager(doc, "randc", fabric_mod.boot(list(doc.hosts), seed=0))
+        listener = madme.make_listener("0")
+        port = listener.getsockname()[1]
+        thread = threading.Thread(target=madme.serve,
+                                  args=(manager, listener), daemon=True)
+        thread.start()
+        try:
+            sock = madme.connect(str(port))
+            madme.write_frame(sock, b"\xff\xfe")
+            response = madme.read_frame(sock)
+            assert response.startswith(b"error\nMalformedPayload")
+            ok, body = madme.request(sock, "get-resources")
+            assert ok
+            assert "component Router" in body
             sock.close()
         finally:
             listener.close()

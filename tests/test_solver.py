@@ -1,11 +1,13 @@
+import hashlib
+
 import pytest
 
 import generators
 import helpers
 from deladas import ddd, evaluator, lang, model, solver
 from deladas.model import Binding
-from deladas.solver import (BoundsError, NoSolution, SolveOptions,
-                            SpaceTooLarge, UnknownConstraintSet,
+from deladas.solver import (BoundsError, NoSolution, SearchBudgetExceeded,
+                            SolveOptions, SpaceTooLarge, UnknownConstraintSet,
                             enumerate_all, resolve_with_relaxation, solve)
 
 CONTRADICTION = """
@@ -100,6 +102,20 @@ class TestOracleAgreement:
             ("Router@h1#0", "Client@h2#0", "Router@h3#0"),
             ("Router@h1#0", "Router@h2#0", "Client@h3#0"),
             ("Router@h1#0", "Router@h2#0", "Router@h3#0")}
+
+    def test_oracle_walks_the_whole_placement_space(self):
+        """Three hosts, two types, at most one instance per host: each host
+        takes nothing, a Client or a Router, so 3**3 placements, including
+        those the solver prunes for leaving a host empty. The goal is the
+        sample's placement clause alone, so no placement has channels."""
+        doc3 = helpers.three_host_doc()
+        doc = lang.SpecDocument(doc3.components, doc3.hosts, (
+            lang.ConstraintSet("hosts", doc3.constraintset("randc")
+                               .constraints[:1]),))
+        assert enumerate_all(doc, "hosts").stats.placement_nodes == 27
+        pinned = enumerate_all(doc, "hosts", SolveOptions(
+            pins=(Binding("Router", "h1", 1),)))
+        assert pinned.stats.placement_nodes == 9
 
     def test_unsatisfiable_oracle(self):
         doc = lang.parse(CONTRADICTION)
@@ -248,6 +264,21 @@ class TestRelaxation:
         assert oracle.exhausted
         assert oracle.solutions == ()
 
+    def test_budget_hit_is_unknown_not_unsatisfiable(self):
+        """With a node budget too small to decide even the all-pins solve,
+        relaxation must not go on to drop pins."""
+        doc = helpers.merged_doc()
+        example = helpers.example_configuration()
+        doc5 = lang.SpecDocument(
+            doc.components,
+            tuple(h for h in doc.hosts if h.name != "h3"),
+            doc.constraintsets)
+        surviving = model.restrict_to_hosts(example, {h.name for h in doc5.hosts})
+        with pytest.raises(SearchBudgetExceeded, match="unknown"):
+            resolve_with_relaxation(
+                doc5, "randc", model.bindings_of(surviving),
+                SolveOptions(prior=surviving, node_budget=5))
+
     def test_unsatisfiable_raises_no_solution(self):
         doc = lang.parse(CONTRADICTION)
         with pytest.raises(NoSolution):
@@ -348,3 +379,150 @@ class TestEnumerationBudget:
                      SolveOptions(channel_budget=4,
                                   solution_limit=len(loose.solutions) + 1))
         assert set(full.solutions) == set(tight.solutions)
+
+
+def _sequence_digest(doc, cs_name: str, outcome) -> str:
+    """SHA-256 prefix of the ordered solution DDDs and the exhausted flag."""
+    blob = b"\0".join([ddd.to_xml(s, doc, cs_name) for s in outcome.solutions]
+                      + [str(outcome.exhausted).encode()])
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _generated_digests(seed: int = 53, documents: int = 30) -> list[str]:
+    """One digest per generated document over four solves: plain, pinned,
+    with a prior, and pinned with a prior. The prior is the plain solve's
+    last solution, so the prior-first channel order is exercised."""
+    rng = helpers.rng(seed)
+    out = []
+    for _ in range(documents):
+        doc = generators.gen_solver_instance(rng)
+        types = [c.name for c in doc.components]
+        pin = (Binding(rng.choice(types), rng.choice(doc.hosts).name, 1),)
+        plain = solve(doc, "goal", SolveOptions(solution_limit=4))
+        prior = plain.solutions[-1] if plain.solutions else None
+        parts = [_sequence_digest(doc, "goal", plain)]
+        for pins, pri in ((pin, None), ((), prior), (pin, prior)):
+            outcome = solve(doc, "goal", SolveOptions(
+                solution_limit=4, pins=pins, prior=pri))
+            parts.append(_sequence_digest(doc, "goal", outcome))
+        out.append(hashlib.sha256(" ".join(parts).encode()).hexdigest()[:16])
+    return out
+
+
+class TestSolutionOrderLock:
+    """The solution sequence recorded before the search was made to prune:
+    pruning may only cut nodes, never change what the search returns."""
+
+    RANDC_FIRST_TEN = {3: "1c4d1949ff00e249", 4: "1babf54fa66ad85c",
+                       5: "de36b57c026638c8", 6: "3563b3b6753b9372"}
+
+    GENERATED = [
+        "eada81eea6edab7e", "95ee50f7f1dbb503", "038d5b6b46830e99", "7e8983810a0845c3",
+        "d11b5b3ff655ce92", "7c4bb34845ba01ac", "47cd497ac696ec4d", "95ee50f7f1dbb503",
+        "5fd9965295f53508", "bed9b48276d01562", "1c30c34f573a300f", "bed9b48276d01562",
+        "3b887cc038647583", "9c50741624644834", "a9e549eed31c6f52", "e6ef3725c78d5662",
+        "117e565ddbb88f8d", "99dfc86fb2e39172", "8aca64f8a98935c7", "f13ec2d8fbb183e0",
+        "eada81eea6edab7e", "f5b3f3804198ca69", "693b9cbdc6e8053b", "3aad40c93c1b4b82",
+        "0e8df090ec620b96", "321000444618effd", "02ada46769ca0e8a", "00f82f4fddcbbe5e",
+        "49da7f30f53389ba", "9f57cfd8bf3f3d22",
+    ]
+
+    # (placement nodes, wiring nodes) of the first solution; the search
+    # visited 130, 341, 957, 3279 and 8759 nodes before it pruned.
+    RANDC_NODES = {4: (13, 22), 5: (15, 30), 6: (17, 38), 7: (29, 519),
+                   8: (31, 531)}
+
+    def test_randc_first_ten_solutions(self):
+        got = {}
+        for hosts in self.RANDC_FIRST_TEN:
+            doc = helpers.randc_doc(hosts)
+            got[hosts] = _sequence_digest(
+                doc, "randc", solve(doc, "randc", SolveOptions(solution_limit=10)))
+        assert got == self.RANDC_FIRST_TEN
+
+    def test_generated_documents(self):
+        assert _generated_digests() == self.GENERATED
+
+    def test_randc_node_counts(self):
+        got = {}
+        for hosts in self.RANDC_NODES:
+            stats = solve(helpers.randc_doc(hosts), "randc").stats
+            assert stats.nodes == stats.placement_nodes + stats.wiring_nodes
+            got[hosts] = (stats.placement_nodes, stats.wiring_nodes)
+        assert got == self.RANDC_NODES
+
+
+class TestIncrementalWiringState:
+    """include/exclude and their undo keep the evaluator's edge views equal
+    to a rebuild from scratch, whatever order the moves come in."""
+
+    @staticmethod
+    def _rebuild(candidates, status):
+        """The views as a from-scratch pass over the decided statuses
+        (1 included, -1 excluded, 0 open) computes them."""
+        sure = {"families": set(), "adj": {}, "neigh": {}}
+        possible = {"families": set(), "adj": {}, "neigh": {}}
+        for edge, st in zip(candidates, status):
+            for views, member in ((possible, st != -1), (sure, st == 1)):
+                if member:
+                    views["families"].add(edge)
+                    views["adj"].setdefault(edge.src, set()).add(edge.dst)
+                    views["neigh"].setdefault(edge.src, set()).add(edge.dst)
+                    views["neigh"].setdefault(edge.dst, set()).add(edge.src)
+        return sure, possible
+
+    @staticmethod
+    def _views(edge_set):
+        drop_empty = lambda d: {k: v for k, v in d.items() if v}
+        return {"families": set(edge_set.families),
+                "adj": drop_empty(edge_set.adj),
+                "neigh": drop_empty(edge_set.neigh)}
+
+    def test_random_moves_match_a_rebuild(self):
+        doc = helpers.merged_doc()
+        cs = doc.constraintset("randc")
+        placement = solver._Placement(
+            doc, {(h.name, t): 1 for h, t in zip(
+                doc.hosts, ["Client", "Router", "Router", "Client", "Router",
+                            "Client"])})
+        candidates = solver._candidate_edges(placement,
+                                             solver.connect_patterns(cs))
+        rng = helpers.rng(43)
+        for _ in range(20):
+            ev = solver._PartialEval(placement, cs.constraints, candidates)
+            status = [0] * len(candidates)
+            order = rng.sample(range(len(candidates)), len(candidates))
+            moves = []
+            for i in order:
+                if rng.random() < 0.5:
+                    ev.include(candidates[i])
+                    status[i] = 1
+                else:
+                    ev.exclude(candidates[i])
+                    status[i] = -1
+                moves.append(i)
+                sure, possible = self._rebuild(candidates, status)
+                assert self._views(ev.sure) == sure
+                assert self._views(ev.possible) == possible
+            for i in reversed(moves):
+                if status[i] == 1:
+                    ev.undo_include(candidates[i])
+                else:
+                    ev.undo_exclude(candidates[i])
+                status[i] = 0
+                sure, possible = self._rebuild(candidates, status)
+                assert self._views(ev.sure) == sure
+                assert self._views(ev.possible) == possible
+
+
+class TestPlacementPruning:
+    def test_only_host_quantified_count_clauses_prune_placements(self):
+        cs = helpers.merged_doc().constraintset("randc")
+        assert [solver._placement_only(c) for c in cs.constraints] == [
+            True, False, False, False, False]
+
+    def test_contradiction_is_cut_at_the_first_host(self):
+        out = solve(lang.parse(CONTRADICTION), "goal")
+        # Both vectors for host a (no Router, one Router) falsify the clause.
+        assert (out.stats.placement_nodes, out.stats.wiring_nodes) == (2, 0)
+        assert out.exhausted and out.solutions == ()
