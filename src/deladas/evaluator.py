@@ -15,6 +15,7 @@ Semantics notes:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import lang
@@ -166,25 +167,19 @@ def _eval(expr, env: Environment, ctx: _Context) -> tuple[bool, Environment]:
     canonical enumeration order (for `or`, the first disjunct's witness).
     """
     if isinstance(expr, Quantified):
+        names = [b.var for b in expr.binders]
         ranges = [_binder_range(b, ctx) for b in expr.binders]
-
-        def assignments(depth: int, env2: Environment):
-            if depth == len(ranges):
-                yield env2
-                return
-            var = expr.binders[depth].var
-            for value in ranges[depth]:
-                inner = dict(env2)
-                inner[var] = value
-                yield from assignments(depth + 1, inner)
-
+        # A flat product, not a recursive generator closure: such a closure
+        # is a reference cycle that holds ctx until the cycle collector runs.
+        assignments = ({**env, **dict(zip(names, combo))}
+                       for combo in itertools.product(*ranges))
         if expr.kind == "forall":
-            for env2 in assignments(0, env):
+            for env2 in assignments:
                 ok, witness = _eval(expr.body, env2, ctx)
                 if not ok:
                     return False, witness
             return True, env
-        for env2 in assignments(0, env):
+        for env2 in assignments:
             ok, _ = _eval(expr.body, env2, ctx)
             if ok:
                 return True, env

@@ -48,6 +48,10 @@ KEYWORDS = frozenset([
 PUNCTUATION = ("!=", "<=", ">=", "(", ")", "{", "}", "[", "]", ",", ".", "=", "<", ">")
 
 COMPARISON_OPS = frozenset(["=", "!=", "<=", ">=", "<", ">"])
+# Deepest nesting of parentheses and quantifier bodies the parser accepts;
+# it keeps every recursive walker of the syntax tree far from Python's
+# recursion limit.
+MAX_NESTING = 100
 
 HOST_SORT = "host"  # binder sort marker; "host" is a keyword so no type clashes
 
@@ -347,6 +351,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], source: str):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         # EOF position for error reporting.
         lines = source.split("\n")
         self.eof_line = len(lines)
@@ -496,10 +501,16 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def _parse_expr(self, juxtapose: bool = True) -> ConstraintExpr:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self._peek()
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} "
+                             "levels", tok.line, tok.column, self.pos)
         items = [self._parse_and(juxtapose)]
         while self._at_kw("or"):
             self._advance()
             items.append(self._parse_and(juxtapose))
+        self.depth -= 1
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def _parse_and(self, juxtapose: bool) -> ConstraintExpr:

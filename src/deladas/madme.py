@@ -386,6 +386,11 @@ class Manager:
 # Framing and the serve loop
 # ---------------------------------------------------------------------------
 
+# Largest frame payload read_frame accepts; a longer header is refused
+# before any of its body is read.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+
 def write_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(len(payload).to_bytes(4, "big") + payload)
 
@@ -395,6 +400,9 @@ def read_frame(sock: socket.socket) -> bytes | None:
     if header is None:
         return None
     length = int.from_bytes(header, "big")
+    if length > MAX_FRAME_BYTES:
+        raise MalformedPayload(f"frame of {length} bytes exceeds the "
+                               f"{MAX_FRAME_BYTES}-byte limit")
     if length == 0:
         return b""
     return _read_exact(sock, length)
@@ -447,7 +455,11 @@ def serve(manager: Manager, listener: socket.socket) -> None:
             return
         with conn:
             while True:
-                frame = read_frame(conn)
+                try:
+                    frame = read_frame(conn)
+                except MalformedPayload as e:
+                    write_frame(conn, f"error\nMalformedPayload: {e}".encode())
+                    break  # the unread body leaves the stream unframed
                 if frame is None:
                     break
                 try:

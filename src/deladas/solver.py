@@ -10,7 +10,10 @@ instances within bounds. After each assignment the still-open
 placement-only clauses (those quantifying over hosts alone and reading only
 instance counts) are evaluated with every unassigned host's counts read as
 the interval [pin floor, max_instances_per_host]; a False cuts the branch.
-Clauses that mention instances or channels wait for the wiring phase.
+Clauses that mention instances or channels wait for the wiring phase, but
+placement also checks the bounds |X| <= k * |Y| that cardinality_bounds
+derives from them (every X needs a Y neighbour, every Y takes at most k X
+neighbours): a branch whose fewest X exceed k times its most Y is cut.
 
 Wiring then decides, for every candidate channel, whether it is present.
 Candidate channels are the instantiations of the `connectsto` patterns
@@ -89,6 +92,7 @@ class SolveStats:
     placement_nodes: int
     wiring_nodes: int
     seconds: float
+    bound_cuts: int = 0  # placement branches cut by a derived bound
 
     @property
     def nodes(self) -> int:
@@ -161,25 +165,25 @@ def connect_patterns(cs: ConstraintSet) -> list[tuple[str, str, str, str]]:
     """Typed (src type, src port, dst type, dst port) patterns from the
     constraintset's connectsto leaves, in first-appearance order."""
     seen: list[tuple[str, str, str, str]] = []
-
-    def walk(expr, env: dict[str, str]):
-        if isinstance(expr, Quantified):
-            inner = dict(env)
-            for b in expr.binders:
-                inner[b.var] = b.sort
-            walk(expr.body, inner)
-        elif isinstance(expr, (And, Or)):
-            for item in expr.items:
-                walk(item, env)
-        elif isinstance(expr, ConnectsTo):
-            pat = (env.get(expr.src.var, ""), expr.src.port,
-                   env.get(expr.dst.var, ""), expr.dst.port)
-            if pat not in seen:
-                seen.append(pat)
-
     for constraint in cs.constraints:
-        walk(constraint, {})
+        _add_patterns(constraint, {}, seen)
     return seen
+
+
+def _add_patterns(expr, env: dict[str, str], seen: list) -> None:
+    if isinstance(expr, Quantified):
+        inner = dict(env)
+        for b in expr.binders:
+            inner[b.var] = b.sort
+        _add_patterns(expr.body, inner, seen)
+    elif isinstance(expr, (And, Or)):
+        for item in expr.items:
+            _add_patterns(item, env, seen)
+    elif isinstance(expr, ConnectsTo):
+        pat = (env.get(expr.src.var, ""), expr.src.port,
+               env.get(expr.dst.var, ""), expr.dst.port)
+        if pat not in seen:
+            seen.append(pat)
 
 
 def _placement_only(expr) -> bool:
@@ -194,6 +198,57 @@ def _placement_only(expr) -> bool:
         return not any(isinstance(v, Card) and isinstance(v.inner, ConnectedTo)
                        for v in (expr.lhs, expr.rhs))
     return False
+
+
+def _conjuncts(expr):
+    """expr itself, or its items when it is an `and`, recursively."""
+    if isinstance(expr, And):
+        for item in expr.items:
+            yield from _conjuncts(item)
+    else:
+        yield expr
+
+
+_CAP_SLACK = {"<=": 0, "<": 1, "=": 0}  # card <op> n caps card at n - slack
+_SWAPPED = {">=": "<=", ">": "<", "=": "="}
+
+
+def cardinality_bounds(cs: ConstraintSet) -> list[tuple[str, str, int]]:
+    """Bounds (X, Y, k), each meaning |X| <= k * |Y| in every solution.
+
+    A bound pairs two conjunctive single-binder clauses over distinct
+    instance types: `forall X x (exists Y y (... x.p connectsto y.q ...))`
+    gives every X a Y neighbour, and `forall Y y (card(X v connectedto y)
+    <= k)` (or `< k+1`, `= k`, operands either way round) lets each Y have
+    at most k X neighbours."""
+    needs, caps = set(), {}
+    for clause in cs.constraints:
+        for outer in _conjuncts(clause):
+            if not (isinstance(outer, Quantified) and outer.kind == "forall"
+                    and len(outer.binders) == 1):
+                continue
+            x = outer.binders[0]
+            for part in _conjuncts(outer.body):
+                if (isinstance(part, Quantified) and part.kind == "exists"
+                        and len(part.binders) == 1):
+                    y = part.binders[0]
+                    if any(isinstance(e, ConnectsTo)
+                           and {e.src.var, e.dst.var} == {x.var, y.var}
+                           for e in _conjuncts(part.body)):
+                        needs.add((x.sort, y.sort))
+                elif isinstance(part, Compare):
+                    op, card, n = part.op, part.lhs, part.rhs
+                    if isinstance(card, IntLiteral):
+                        op, card, n = _SWAPPED.get(op), n, card
+                    if (op in _CAP_SLACK and isinstance(n, IntLiteral)
+                            and isinstance(card, Card)
+                            and isinstance(card.inner, ConnectedTo)
+                            and card.inner.peer_var == x.var):
+                        key = (card.inner.type_name, x.sort)
+                        k = max(0, n.value - _CAP_SLACK[op])
+                        caps[key] = min(k, caps.get(key, k))
+    return [(x, y, caps[(x, y)]) for x, y in sorted(needs)
+            if (x, y) in caps and x != y and HOST_SORT not in (x, y)]
 
 
 class _Budget(Exception):
@@ -515,20 +570,10 @@ def _materialize(doc: SpecDocument, placement: _Placement,
 def _count_vectors(types: list[str], per_host: int, floors: dict[str, int]):
     """All per-type count tuples for one host, in canonical value order:
     ascending total, then more of earlier-declared types first."""
-    k = len(types)
-    out: list[tuple[int, ...]] = []
-
-    def build(i: int, remaining: int, acc: list[int]):
-        if i == k:
-            out.append(tuple(acc))
-            return
-        lo = floors.get(types[i], 0)
-        for n in range(lo, remaining + 1):
-            acc.append(n)
-            build(i + 1, remaining - n, acc)
-            acc.pop()
-
-    build(0, per_host, [])
+    out: list[tuple[int, ...]] = [()]
+    for t in types:
+        out = [v + (n,) for v in out
+               for n in range(floors.get(t, 0), per_host - sum(v) + 1)]
     out.sort(key=lambda v: (sum(v), tuple(-x for x in v)))
     return out
 
@@ -556,6 +601,8 @@ class _Search:
             i for i in clauses if _placement_only(cs.constraints[i]))
         self.wiring_clauses = tuple(
             i for i in clauses if i not in self.placement_clauses)
+        self.bounds = cardinality_bounds(cs)
+        self.bound_cuts = 0
 
     def _check_budget(self):
         if (self.opts.node_budget is not None
@@ -575,9 +622,8 @@ class _Search:
         types = [c.name for c in self.doc.components]
         per_host = self.opts.max_instances_per_host
         counts: dict[tuple[str, str], int] = {}
-        ev = _PartialEval(_PartialPlacement(self.doc, counts, self.pin_floors,
-                                            per_host),
-                          self.cs.constraints)
+        partial = _PartialPlacement(self.doc, counts, self.pin_floors, per_host)
+        ev = _PartialEval(partial, self.cs.constraints)
 
         def assign(i: int, total: int, clauses: tuple[int, ...]):
             if i == len(hosts):
@@ -594,12 +640,31 @@ class _Search:
                 for t, n in zip(types, vector):
                     counts[(host, t)] = n
                 still = ev.open_clauses(clauses)
-                if still is not None:
-                    yield from assign(i + 1, total + extra, still)
+                if still is None:
+                    continue
+                if self._starved(partial):
+                    self.bound_cuts += 1
+                    continue
+                yield from assign(i + 1, total + extra, still)
             for t in types:
                 counts.pop((host, t), None)
 
-        yield from assign(0, 0, self.placement_clauses)
+        try:
+            yield from assign(0, 0, self.placement_clauses)
+        finally:
+            # assign reaches itself through its closure: dropping the name
+            # breaks that cycle, so the search state is freed at once.
+            del assign
+
+    def _starved(self, partial: _PartialPlacement) -> bool:
+        """True when some derived bound |X| <= k * |Y| fails in every
+        completion: the fewest X possible exceed k times the most Y."""
+        for x, y, k in self.bounds:
+            lo = sum(partial.count_bounds(h, x)[0] for h in partial.hosts)
+            hi = sum(partial.count_bounds(h, y)[1] for h in partial.hosts)
+            if lo > k * hi:
+                return True
+        return False
 
     def run(self) -> bool:
         """DFS over placements and wirings; returns True if fully explored."""
@@ -670,7 +735,10 @@ class _Search:
                     return False
             return True
 
-        return dfs(0, clauses)
+        try:
+            return dfs(0, clauses)
+        finally:
+            del dfs  # as in placements: break the closure's self-reference
 
 
 def solve(doc: SpecDocument, cs_name: str,
@@ -691,7 +759,7 @@ def solve(doc: SpecDocument, cs_name: str,
     elapsed = time.perf_counter() - started
     return SolveOutcome(tuple(search.solutions), exhausted,
                         SolveStats(search.placement_nodes, search.wiring_nodes,
-                                   elapsed))
+                                   elapsed, search.bound_cuts))
 
 
 def resolve_with_relaxation(doc: SpecDocument, cs_name: str,

@@ -242,3 +242,49 @@ def gen_solver_instance(rng: random.Random):
             + "\nconstraintset goal = constraintset {\n"
             + "\n".join(clauses) + "\n}\n")
     return lang.parse(text)
+
+
+# ---------------------------------------------------------------------------
+# Instances for derived cardinality bounds
+# ---------------------------------------------------------------------------
+
+BOUND_TYPES = ["P", "Q", "R"]
+CAP_OPS = ["<=", "<", "=", ">=", ">", "!="]  # the first three cap card
+
+
+def gen_bound_instance(rng: random.Random):
+    """A goal built around the two clause shapes a bound |X| <= k * |Y| is
+    derived from: every X has a Y neighbour, and every Y has at most k X
+    neighbours. Types, ports, k, the comparison and its operand order are
+    random; the types may coincide, the cap's counted type may differ from
+    X, and either shape may sit under `or`, so many instances must derive
+    nothing. Returns the document and the per-host instance bound (2 only
+    on two hosts, to keep the oracle small)."""
+    types = BOUND_TYPES[:rng.randint(2, 3)]
+    x, y = rng.choice(types), rng.choice(types)
+    hosts = rng.randint(2, 4 if len(types) == 2 and x != y else 3)
+    counted = x if rng.random() < 0.8 else rng.choice(types)
+    refs = [f"a.{rng.choice(['one', 'many'])}", f"b.{rng.choice(['one', 'many'])}"]
+    rng.shuffle(refs)
+    need = (f"forall {x} a in deployment ( exists {y} b in deployment ( "
+            f"{refs[0]} connectsto {refs[1]} ) )")
+    card, n = f"card({counted} v connectedto c)", str(rng.randint(0, 3))
+    op = rng.choice(CAP_OPS[:3] if rng.random() < 0.7 else CAP_OPS[3:])
+    operands = [card, n] if rng.random() < 0.5 else [n, card]
+    if operands[0] == n:
+        op = {"<=": ">=", "<": ">", ">=": "<=", ">": "<"}.get(op, op)
+    cap = f"forall {y} c in deployment ( {operands[0]} {op} {operands[1]} )"
+    escape = f"forall host h in deployment ( card(instancesof {x} in h) = 0 )"
+    clauses = [need, cap]
+    for i in range(2):
+        if rng.random() < 0.15:
+            clauses[i] = f"{clauses[i]} or {escape}"
+    if rng.random() < 0.6:
+        clauses.append(f"forall host h in deployment ( card(instancesof {x} "
+                       f"in h) = 1 or card(instancesof {y} in h) = 1 )")
+    text = "".join(f'component {t}(code = "http://bundles/{t}.xml", '
+                   f"ports = {{one, many[]}})\n" for t in types)
+    text += "".join(f'host m{i} = host(ipaddress = "10.3.{i}.1")\n'
+                    for i in range(hosts))
+    text += "constraintset goal = constraintset {\n" + "\n".join(clauses) + "\n}\n"
+    return lang.parse(text), 2 if hosts == 2 and rng.random() < 0.5 else 1

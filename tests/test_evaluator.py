@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 import generators
@@ -47,6 +49,21 @@ class TestCheckExamples:
         first = check(empty, doc.constraintset("randc"), doc)
         second = check(empty, doc.constraintset("randc"), doc)
         assert first == second
+
+    def test_check_leaves_no_reference_cycles(self):
+        """Everything a check allocates is freed by reference counting, so
+        the configuration's context does not wait for the cycle collector."""
+        doc = helpers.merged_doc()
+        cs = doc.constraintset("randc")
+        for config in (helpers.example_configuration(),
+                       model.empty_on(doc.hosts)):
+            gc.collect()
+            gc.disable()
+            try:
+                check(config, cs, doc)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_ordering_on_instances_is_a_type_error(self):
         doc = helpers.merged_doc()

@@ -183,6 +183,26 @@ class TestParseRules:
             lang.parse("component C(")
         assert err.value.expected
 
+    @staticmethod
+    def _nested(depth: int) -> str:
+        return ("constraintset g = constraintset { " + "(" * (depth - 1)
+                + "1 = 1" + ")" * (depth - 1) + " }")
+
+    def test_nesting_limit(self):
+        """A top-level clause is one level; each parenthesis or quantifier
+        body adds one. Past the limit the parser stops with a ParseError
+        instead of exhausting Python's recursion limit."""
+        doc = lang.parse(self._nested(lang.MAX_NESTING))
+        assert len(doc.constraintsets[0].constraints) == 1
+        for depth in (lang.MAX_NESTING + 1, 3000):
+            with pytest.raises(ParseError, match="nested deeper"):
+                lang.parse(self._nested(depth))
+        quantifiers = ("constraintset g = constraintset { "
+                       + "forall host h in deployment (" * lang.MAX_NESTING
+                       + "1 = 1" + ")" * lang.MAX_NESTING + " }")
+        with pytest.raises(ParseError, match="nested deeper"):
+            lang.parse(quantifiers)
+
 
 class TestMerge:
     def test_merge_resources_and_constraints(self):

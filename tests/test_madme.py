@@ -407,6 +407,53 @@ class TestFraming:
             listener.close()
 
 
+    @staticmethod
+    def _start_server():
+        doc = helpers.merged_doc()
+        manager = Manager(doc, "randc", fabric_mod.boot(list(doc.hosts), seed=0))
+        listener = madme.make_listener("0")
+        threading.Thread(target=madme.serve, args=(manager, listener),
+                         daemon=True).start()
+        return listener, str(listener.getsockname()[1])
+
+    def test_server_survives_deep_nesting(self):
+        listener, port = self._start_server()
+        try:
+            sock = madme.connect(port)
+            deep = ("constraintset g = constraintset { " + "(" * 3000
+                    + "1 = 1" + ")" * 3000 + " }")
+            ok, body = madme.request(sock, "satisfy", madme.join_parts(
+                [deep, helpers.RESOURCES_TEXT]))
+            assert not ok
+            assert body.startswith("ParseError") and "nested deeper" in body
+            ok, body = madme.request(sock, "get-resources")
+            assert ok
+            assert "component Router" in body
+            sock.close()
+        finally:
+            listener.close()
+
+    def test_oversized_frame_is_refused_unread(self):
+        """A header just over the limit is answered at once, without
+        waiting for its body, and the connection is closed; the server
+        goes on accepting connections."""
+        listener, port = self._start_server()
+        try:
+            sock = madme.connect(port)
+            sock.sendall((madme.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            response = madme.read_frame(sock)
+            assert response.startswith(b"error\nMalformedPayload")
+            assert b"exceeds" in response
+            assert madme.read_frame(sock) is None
+            sock.close()
+            sock = madme.connect(port)
+            ok, _ = madme.request(sock, "get-resources")
+            assert ok
+            sock.close()
+        finally:
+            listener.close()
+
+
 class TestPartCodec:
     def test_split_join_round_trip(self):
         parts = ["alpha\nbeta", "gamma", ""]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -428,9 +429,11 @@ class TestSolutionOrderLock:
     ]
 
     # (placement nodes, wiring nodes) of the first solution; the search
-    # visited 130, 341, 957, 3279 and 8759 nodes before it pruned.
-    RANDC_NODES = {4: (13, 22), 5: (15, 30), 6: (17, 38), 7: (29, 519),
-                   8: (31, 531)}
+    # visited 130, 341, 957, 3279 and 8759 nodes before it pruned, and
+    # (13, 22), (15, 30), (17, 38), (29, 519) and (31, 531) before it cut
+    # placements with derived cardinality bounds.
+    RANDC_NODES = {4: (10, 19), 5: (12, 27), 6: (14, 35), 7: (17, 53),
+                   8: (19, 65)}
 
     def test_randc_first_ten_solutions(self):
         got = {}
@@ -515,6 +518,25 @@ class TestIncrementalWiringState:
                 assert self._views(ev.possible) == possible
 
 
+class TestNoReferenceCycles:
+    def test_searches_free_their_state_without_the_cycle_collector(self):
+        """Whether a solve stops at its solution limit, exhausts the space or
+        runs out of node budget in either phase, everything it allocated is
+        freed by reference counting."""
+        cases = [(helpers.randc_doc(6), "randc", SolveOptions(solution_limit=2)),
+                 (lang.parse(CONTRADICTION), "goal", SolveOptions()),
+                 (helpers.randc_doc(6), "randc", SolveOptions(node_budget=5)),
+                 (helpers.randc_doc(6), "randc", SolveOptions(node_budget=30))]
+        for doc, name, opts in cases:
+            gc.collect()
+            gc.disable()
+            try:
+                solve(doc, name, opts)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+
 class TestPlacementPruning:
     def test_only_host_quantified_count_clauses_prune_placements(self):
         cs = helpers.merged_doc().constraintset("randc")
@@ -526,3 +548,135 @@ class TestPlacementPruning:
         # Both vectors for host a (no Router, one Router) falsify the clause.
         assert (out.stats.placement_nodes, out.stats.wiring_nodes) == (2, 0)
         assert out.exhausted and out.solutions == ()
+
+
+NEED = ("forall Client c in deployment ( exists Router r in deployment "
+        "( c.out connectsto r.cin ) )")
+
+
+def _router_cap(compare: str) -> str:
+    return f"forall Router r in deployment ( {compare} )"
+
+
+class TestCardinalityBounds:
+    """Bounds |X| <= k * |Y| read from the goal, and the placement
+    branches they cut."""
+
+    @staticmethod
+    def _bounds(*clauses):
+        doc = lang.parse(helpers.RESOURCES_TEXT
+                         + "constraintset g = constraintset {\n"
+                         + "\n".join(clauses) + "\n}\n")
+        return solver.cardinality_bounds(doc.constraintset("g"))
+
+    def test_sample_goal(self):
+        cs = helpers.merged_doc().constraintset("randc")
+        assert solver.cardinality_bounds(cs) == [("Client", "Router", 2)]
+
+    @pytest.mark.parametrize("compare, k", [
+        ("card(Client c connectedto r) <= 2", 2),
+        ("card(Client c connectedto r) < 3", 2),
+        ("card(Client c connectedto r) = 1", 1),
+        ("2 >= card(Client c connectedto r)", 2),
+        ("3 > card(Client c connectedto r)", 2),
+        ("1 = card(Client c connectedto r)", 1),
+        ("card(Client c connectedto r) < 0", 0),
+    ])
+    def test_cap_forms(self, compare, k):
+        assert self._bounds(NEED, _router_cap(compare)) == [
+            ("Client", "Router", k)]
+
+    def test_conjunctive_positions_and_the_tightest_cap(self):
+        need = ("forall Client c in deployment ( c = c and exists Router r "
+                "in deployment ( (c != c or c = c)  r.cout connectsto c.in ) )")
+        caps = _router_cap("card(Client c connectedto r) <= 3 "
+                         "card(Client c connectedto r) < 2")
+        assert self._bounds(need, caps) == [("Client", "Router", 1)]
+
+    @pytest.mark.parametrize("clauses", [
+        # the need under `or`
+        (f"{NEED} or forall host h in deployment ( 1 = 1 )",
+         _router_cap("card(Client c connectedto r) <= 2")),
+        # the cap under `or`
+        (NEED, _router_cap("card(Client c connectedto r) <= 2 or 1 = 1")),
+        # the connectsto under `or` inside the exists
+        ("forall Client c in deployment ( exists Router r in deployment "
+         "( c.out connectsto r.cin or 1 = 1 ) )",
+         _router_cap("card(Client c connectedto r) <= 2")),
+        # a lower bound is no cap
+        (NEED, _router_cap("card(Client c connectedto r) >= 2")),
+        (NEED, _router_cap("2 <= card(Client c connectedto r)")),
+        (NEED, _router_cap("card(Client c connectedto r) != 2")),
+        # the cap counts another type
+        (NEED, _router_cap("card(Router c connectedto r) <= 2")),
+        # x and y share a type
+        ("forall Router a in deployment ( exists Router b in deployment "
+         "( a.rout connectsto b.rin ) )",
+         _router_cap("card(Router c connectedto r) <= 2")),
+        # the need's connectsto does not join x and y
+        ("forall Client c in deployment ( exists Router r in deployment "
+         "( exists Router s in deployment ( s.rout connectsto r.rin ) ) )",
+         _router_cap("card(Client c connectedto r) <= 2")),
+        # several binders, and forall in place of exists
+        ("forall Client c, Client d in deployment ( exists Router r in "
+         "deployment ( c.out connectsto r.cin ) )",
+         _router_cap("card(Client c connectedto r) <= 2")),
+        ("forall Client c in deployment ( forall Router r in deployment "
+         "( c.out connectsto r.cin ) )",
+         _router_cap("card(Client c connectedto r) <= 2")),
+    ])
+    def test_nothing_is_derived(self, clauses):
+        assert self._bounds(*clauses) == []
+
+    def test_cap_on_another_peer_is_no_cap(self):
+        """A cap inside `forall Router r` whose card counts the neighbours
+        of another variable s says nothing about r's neighbours."""
+        doc = lang.parse(helpers.RESOURCES_TEXT
+                         + "constraintset g = constraintset {\n" + NEED
+                         + "\nforall Router s in deployment ( forall Router r "
+                         "in deployment ( card(Client c connectedto s) <= 2 ) )"
+                         "\n}\n")
+        need, nested = doc.constraintset("g").constraints
+        cs = lang.ConstraintSet("g", (need, nested.body))
+        assert solver.cardinality_bounds(cs) == []
+
+    def test_starved_placements_are_cut(self):
+        """Ten hosts: without the bound, the 3-router placements with 7
+        clients were refuted only by exhausting their wirings."""
+        stats = solve(helpers.randc_doc(10), "randc").stats
+        assert (stats.placement_nodes, stats.wiring_nodes,
+                stats.bound_cuts) == (24, 103, 4)
+
+    def test_random_goals_agree_with_oracle_and_bounds_hold(self):
+        """Generated goals around the two shapes, some with a pin: the
+        pruned search returns exactly the oracle's solutions, and every
+        oracle solution satisfies every derived bound."""
+        rng = helpers.rng(59)
+        compared = derived = cut = 0
+        for _ in range(60):
+            doc, per_host = generators.gen_bound_instance(rng)
+            cs = doc.constraintset("goal")
+            pins = ()
+            if rng.random() < 0.4:
+                pins = (Binding(rng.choice(doc.components).name,
+                                rng.choice(doc.hosts).name, 1),)
+            opts = SolveOptions(max_instances_per_host=per_host, pins=pins)
+            try:
+                oracle = enumerate_all(doc, "goal", opts)
+            except SpaceTooLarge:
+                continue
+            full = solve(doc, "goal", SolveOptions(
+                max_instances_per_host=per_host, pins=pins,
+                solution_limit=len(oracle.solutions) + 1))
+            assert full.exhausted
+            assert set(full.solutions) == set(oracle.solutions)
+            assert len(full.solutions) == len(oracle.solutions)
+            bounds = solver.cardinality_bounds(cs)
+            for config in oracle.solutions:
+                for x, y, k in bounds:
+                    assert (len(config.instances_of(x))
+                            <= k * len(config.instances_of(y)))
+            compared += 1
+            derived += bool(bounds)
+            cut += full.stats.bound_cuts > 0
+        assert compared >= 50 and derived >= 10 and cut >= 5
