@@ -89,22 +89,28 @@ class _Context:
             self.families.add((u, ch.src.port, v, ch.dst.port))
 
     def reachable(self, a: InstanceId, b: InstanceId) -> bool:
-        if a == b:
-            return True
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for v in self.out_edges.get(u, ()):
-                if v == b:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
+        return has_path(self.out_edges, a, b)
 
     def connected(self, p: InstanceId, a: str, q: InstanceId, b: str) -> bool:
         return (p, a, q, b) in self.families or (q, b, p, a) in self.families
+
+
+def has_path(adj, a, b) -> bool:
+    """True iff a directed path in adj (node -> successors) leads from a to
+    b; reflexive. The solver's compiled clauses share it."""
+    if a == b:
+        return True
+    seen = {a}
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        for v in adj.get(u, ()):
+            if v == b:
+                return True
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return False
 
 
 def _binder_range(binder: lang.Binder, ctx: _Context):

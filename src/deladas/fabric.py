@@ -271,11 +271,13 @@ class Fabric:
     # -- enactment -------------------------------------------------------------
 
     def apply_plan(self, plan: EnactmentPlan) -> list[tuple[int, object]]:
-        """Fire a plan's actions on the fabric, atomically at this tick.
+        """Fire a plan's actions on the fabric, in order, at this tick.
 
         All target hosts are checked before anything runs; a dead or unknown
-        host raises HostDown and leaves the fabric untouched.
-        """
+        host raises HostDown and leaves the fabric untouched. Nothing else is
+        checked in advance: an action that fails while running raises a
+        FabricError (UnknownInstance for a Wire to an instance that is not
+        running, say), and the actions before it stay applied."""
         for action in plan:
             for host in self._hosts_of(action):
                 state = self.hosts.get(host)

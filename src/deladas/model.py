@@ -127,9 +127,6 @@ class Configuration:
         chans = sorted(channels, key=Channel.key)
         return Configuration(hosts, tuple(insts), tuple(chans))
 
-    def host_names(self) -> list[str]:
-        return [h.name for h in self.hosts]
-
     def instance_ids(self) -> list[InstanceId]:
         return [i.id for i in self.instances]
 
@@ -139,9 +136,6 @@ class Configuration:
     def instances_on(self, host: str, type_name: str | None = None) -> list[InstanceId]:
         return [i.id for i in self.instances
                 if i.id.host == host and (type_name is None or i.type == type_name)]
-
-
-EMPTY = Configuration()
 
 
 def empty_on(hosts: tuple[HostSpec, ...]) -> Configuration:
@@ -254,18 +248,6 @@ def bindings_of(config: Configuration) -> list[Binding]:
 def binding_sort_key(binding: Binding, doc: SpecDocument) -> tuple[int, str, str]:
     host_pos = {h.name: i for i, h in enumerate(doc.hosts)}
     return (host_pos.get(binding.host, len(host_pos)), binding.host, binding.type)
-
-
-def neighbours(config: Configuration, x: InstanceId) -> set[InstanceId]:
-    """Instances sharing at least one channel with x, in either direction."""
-    out: set[InstanceId] = set()
-    for ch in config.channels:
-        if ch.src.instance == x:
-            out.add(ch.dst.instance)
-        elif ch.dst.instance == x:
-            out.add(ch.src.instance)
-    out.discard(x)
-    return out
 
 
 def restrict_to_hosts(config: Configuration, keep: set[str]) -> Configuration:

@@ -1,9 +1,11 @@
 """Configuration search: find placements and wirings satisfying a goal.
 
 The search runs in two phases, both depth-first and both pruned by a
-three-valued partial evaluation of the constraints (_PartialEval): False
-means false in every completion of the current node, True means true in
-every completion.
+three-valued evaluation of the constraints, compiled once per search into
+closures over the state the search mutates (_View): False means false in
+every completion of the current node, True means true in every completion.
+A quantifier drops the binders its body does not mention while their range
+is non-empty (miniscoping), so nested quantifiers cost linear time.
 
 Placement assigns hosts, in declaration order, a small multiset of
 instances within bounds. After each assignment the still-open
@@ -18,20 +20,21 @@ neighbours): a branch whose fewest X exceed k times its most Y is cut.
 Wiring then decides, for every candidate channel, whether it is present.
 Candidate channels are the instantiations of the `connectsto` patterns
 appearing in the selected constraintset (typed port pairs, oriented as
-written), built once per placement. Each decision includes or excludes one
-edge in the evaluator's incremental state and is undone on backtrack. At
-each node only the clauses not yet entailed are evaluated: a False cuts the
-branch, and a True stays true in every descendant, so it is dropped from the
-set passed down.
+written) between the placement's instances, numbered 0..n-1, built once per
+placement. Each decision includes or excludes one edge in the view's
+incremental edge sets and is undone on backtrack. At each node only the
+clauses not yet entailed are evaluated: a False cuts the branch, and a True
+stays true in every descendant, so it is dropped from the set passed down.
 
 Determinism: hosts and types are tried in declaration order (per host: empty
 first, then single instances of earlier-declared types, and so on); candidate
-channels are tried in canonical (src, dst) order with channels present in
-opts.prior tried include-first so surviving structure is retained on
-re-solves. Symmetry is broken by dense instance ordinals and by assigning
-variadic port indices canonically (sorted by peer), so no two search leaves
-materialize the same configuration. Pruning only skips subtrees without
-solutions, so the solution sequence is that of the unpruned search.
+channels are tried in the canonical order of the instances' names (src, dst),
+with channels present in opts.prior tried include-first so surviving
+structure is retained on re-solves. Symmetry is broken by dense instance
+ordinals and by assigning variadic port indices canonically (sorted by peer),
+so no two search leaves materialize the same configuration. Pruning only
+skips subtrees without solutions, so the solution sequence is that of the
+unpruned search.
 
 enumerate_all is the independent oracle: exhaustive generate-and-test over
 the same bounded space using only evaluator.check.
@@ -115,17 +118,15 @@ ORACLE_MAX_CANDIDATES = 24
 
 
 class _Edge(NamedTuple):
-    """A candidate channel at port-family level (indices assigned later).
+    """A candidate channel between two numbered instances of a _Placement,
+    at port-family level (indices assigned later).
 
-    The tuple itself is the port family the evaluator looks up."""
+    The tuple itself is the port family the compiled clauses look up."""
 
-    src: InstanceId
+    src: int
     src_port: str
-    dst: InstanceId
+    dst: int
     dst_port: str
-
-    def key(self):
-        return (str(self.src), self.src_port, str(self.dst), self.dst_port)
 
 
 def _check_options(doc: SpecDocument, opts: SolveOptions) -> SolveOptions:
@@ -256,314 +257,316 @@ class _Budget(Exception):
 
 
 class _Placement:
-    """One complete placement plus caches the wiring phase needs."""
+    """One complete placement. Its instances are numbered 0..n-1 in
+    placement order (host, then type declaration, then ordinal); the wiring
+    phase works on those numbers, and ids, names and types map them back."""
 
     def __init__(self, doc: SpecDocument, counts: dict[tuple[str, str], int]):
         self.counts = counts
-        instances: list[Instance] = []
-        for h in doc.hosts:
-            for c in doc.components:
-                for ordinal in range(counts.get((h.name, c.name), 0)):
-                    instances.append(Instance(InstanceId(c.name, h.name, ordinal),
-                                              c.name))
-        self.instances = instances
-        self.by_type: dict[str, list[InstanceId]] = {}
-        for inst in instances:
-            self.by_type.setdefault(inst.type, []).append(inst.id)
-        self.hosts = [h.name for h in doc.hosts]
+        self.instances = [Instance(InstanceId(c.name, h.name, ordinal), c.name)
+                          for h in doc.hosts for c in doc.components
+                          for ordinal in range(counts.get((h.name, c.name), 0))]
+        self.ids = [inst.id for inst in self.instances]
+        self.names = [str(i) for i in self.ids]
+        self.types = [inst.type for inst in self.instances]
+        self.by_type: dict[str, list[int]] = {}
+        for n, type_name in enumerate(self.types):
+            self.by_type.setdefault(type_name, []).append(n)
 
-    def count_bounds(self, host: str, type_name: str) -> tuple[int, int]:
-        n = self.counts.get((host, type_name), 0)
-        return (n, n)
-
-
-class _PartialPlacement:
-    """The placement phase's view of the hosts assigned so far.
-
-    Assigned hosts have an entry per type in the shared counts dict; the
-    others may still receive anything from their pin floor up to the
-    per-host bound. No instance exists yet, so only clauses that quantify
-    over hosts alone can be evaluated against it."""
-
-    def __init__(self, doc: SpecDocument, counts: dict[tuple[str, str], int],
-                 floors: dict[str, dict[str, int]], per_host: int):
-        self.counts = counts
-        self.floors = floors
-        self.per_host = per_host
-        self.hosts = [h.name for h in doc.hosts]
-
-    def count_bounds(self, host: str, type_name: str) -> tuple[int, int]:
-        n = self.counts.get((host, type_name))
-        if n is not None:
-            return (n, n)
-        return (self.floors.get(host, {}).get(type_name, 0), self.per_host)
+    def ids_of(self, edge: _Edge) -> tuple[InstanceId, str, InstanceId, str]:
+        return (self.ids[edge.src], edge.src_port,
+                self.ids[edge.dst], edge.dst_port)
 
 
 def _candidate_edges(placement: _Placement,
                      patterns: list[tuple[str, str, str, str]]) -> list[_Edge]:
+    """Every instantiation of the patterns, in the order of the instances'
+    names (not their numbers: "Client@h10#0" sorts before "Client@h2#0")."""
     edges: set[_Edge] = set()
     for tsrc, psrc, tdst, pdst in patterns:
         for u in placement.by_type.get(tsrc, ()):
             for v in placement.by_type.get(tdst, ()):
                 if u != v:
                     edges.add(_Edge(u, psrc, v, pdst))
-    return sorted(edges, key=_Edge.key)
+    names = placement.names
+    return sorted(edges, key=lambda e: (names[e.src], e.src_port,
+                                        names[e.dst], e.dst_port))
 
 
 class _EdgeSet:
-    """A set of candidate edges in the three shapes the evaluator reads:
-    port families, directed adjacency and undirected neighbours.
+    """A set of candidate edges in the shapes the compiled clauses read:
+    port families, directed adjacency (successor -> number of edges), and
+    per (instance, type) the number of distinct neighbours of that type."""
 
-    Several port families can join the same two instances, so adjacency
-    keeps a reference count per ordered pair and drops a neighbour only
-    when its last edge goes."""
-
-    def __init__(self, edges=()):
+    def __init__(self):
         self.families: set[_Edge] = set()
-        self.adj: dict[InstanceId, set[InstanceId]] = {}
-        self.neigh: dict[InstanceId, set[InstanceId]] = {}
-        self._adj_refs: dict[tuple[InstanceId, InstanceId], int] = {}
-        self._neigh_refs: dict[tuple[InstanceId, InstanceId], int] = {}
+        self.adj: dict[int, dict[int, int]] = {}
+        self.degree: dict[tuple[int, str], int] = {}
+        self._types: list[str] = []
+
+    def reset(self, types: list[str], edges=()) -> None:
+        """Hold exactly edges over instances of the given types. The
+        containers are emptied in place: compiled clauses hold them."""
+        for part in (self.families, self.adj, self.degree):
+            part.clear()
+        self._types = types
         for edge in edges:
             self.add(edge)
 
     def add(self, edge: _Edge) -> None:
         self.families.add(edge)
-        u, v = edge.src, edge.dst
-        _ref(self.adj, self._adj_refs, u, v)
-        _ref(self.neigh, self._neigh_refs, u, v)
-        _ref(self.neigh, self._neigh_refs, v, u)
+        self._link(edge.src, edge.dst, 1)
 
     def remove(self, edge: _Edge) -> None:
         self.families.discard(edge)
-        u, v = edge.src, edge.dst
-        _unref(self.adj, self._adj_refs, u, v)
-        _unref(self.neigh, self._neigh_refs, u, v)
-        _unref(self.neigh, self._neigh_refs, v, u)
+        self._link(edge.src, edge.dst, -1)
+
+    def _link(self, u: int, v: int, step: int) -> None:
+        """Several port families can join the same two instances: u and v
+        become or stop being neighbours only with the first or last edge
+        between them in either direction."""
+        out = self.adj.setdefault(u, {})
+        n = out.get(v, 0) + step
+        if n:
+            out[v] = n
+        else:
+            del out[v]
+        if n == (1 if step > 0 else 0) and u not in self.adj.get(v, ()):
+            degree, types = self.degree, self._types
+            for key in ((u, types[v]), (v, types[u])):
+                degree[key] = degree.get(key, 0) + step
 
 
-def _ref(sets, refs, u, v) -> None:
-    n = refs.get((u, v), 0)
-    refs[(u, v)] = n + 1
-    if n == 0:
-        sets.setdefault(u, set()).add(v)
+class _View:
+    """What the compiled clauses read. The search mutates it in place.
 
+    Host variables hold host positions and instance variables instance
+    numbers. lo[t][h] and hi[t][h] bound the number of t instances on host
+    h (an unplaced host reads [pin floor, per-host bound]); members[t] lists
+    the instances of type t; sure holds the included edges and possible
+    those not yet excluded (both empty while placing)."""
 
-def _unref(sets, refs, u, v) -> None:
-    n = refs[(u, v)] - 1
-    refs[(u, v)] = n
-    if n == 0:
-        sets[u].discard(v)
-
-
-class _PartialEval:
-    """Three-valued constraint evaluation over a partial placement or a
-    partial wiring.
-
-    Instance counts are intervals (exact once a host is placed). Edges split
-    into definitely-in (`sure`) and not-yet-excluded (`possible`); the
-    wiring search moves one edge at a time with include/exclude and undoes
-    the move on backtrack. Every predicate is monotone in the counts and
-    the edge set, so False here means false in every completion and True
-    means true in every completion.
-    """
-
-    def __init__(self, placement, constraints, candidates=()):
-        self.placement = placement
-        self.constraints = constraints
+    def __init__(self, doc: SpecDocument, floors: dict[str, dict[str, int]],
+                 per_host: int):
+        self.host_names = [h.name for h in doc.hosts]
+        self.hosts = range(len(doc.hosts))
+        self.zeros = [0] * len(doc.hosts)
+        self.lo = {c.name: [floors.get(h, {}).get(c.name, 0)
+                            for h in self.host_names] for c in doc.components}
+        self.hi = {c.name: [per_host] * len(doc.hosts) for c in doc.components}
+        self.members: dict[str, list[int]] = {}
         self.sure = _EdgeSet()
-        self.possible = _EdgeSet(candidates)
+        self.possible = _EdgeSet()
 
-    def include(self, edge: _Edge) -> None:
-        self.sure.add(edge)
+    def counts(self, type_name: str) -> tuple[list[int], list[int]]:
+        """lo and hi of a type; an undeclared type has no instance anywhere."""
+        return (self.lo.get(type_name, self.zeros),
+                self.hi.get(type_name, self.zeros))
 
-    def undo_include(self, edge: _Edge) -> None:
-        self.sure.remove(edge)
+    def place(self, placement: _Placement, candidates: list[_Edge]) -> None:
+        """Show a complete placement with no edge included or excluded."""
+        for type_name, lo in self.lo.items():
+            hi = self.hi[type_name]
+            for h, host in enumerate(self.host_names):
+                lo[h] = hi[h] = placement.counts.get((host, type_name), 0)
+        for type_name, members in self.members.items():
+            members[:] = placement.by_type.get(type_name, ())
+        self.sure.reset(placement.types)
+        self.possible.reset(placement.types, candidates)
 
-    def exclude(self, edge: _Edge) -> None:
-        self.possible.remove(edge)
 
-    def undo_exclude(self, edge: _Edge) -> None:
-        self.possible.add(edge)
+# (lo1, hi1, lo2, hi2) -> True when lhs op rhs holds for every pair of values
+# in the two intervals, False when for none, None otherwise.
+_DECIDE = {
+    "<=": lambda a, b, c, d: True if b <= c else False if a > d else None,
+    "<": lambda a, b, c, d: True if b < c else False if a >= d else None,
+    ">=": lambda a, b, c, d: True if a >= d else False if b < c else None,
+    ">": lambda a, b, c, d: True if a > d else False if b <= c else None,
+    "=": lambda a, b, c, d: (False if b < c or d < a
+                             else True if a == b == c == d else None),
+    "!=": lambda a, b, c, d: (True if b < c or d < a
+                              else False if a == b == c == d else None),
+}
 
-    def open_clauses(self, clauses: tuple[int, ...]) -> tuple[int, ...] | None:
-        """The clauses (by index) not yet true in every completion, or None
-        when one of them is false in every completion."""
-        still = []
-        for index in clauses:
-            v = self._eval(self.constraints[index], {})
-            if v is False:
+
+def _compile(expr, view: _View, scope: dict[str, int], env: list):
+    """expr, from a validated document, as a closure returning True (in
+    every completion of the view), False (in none) or None (not yet known).
+
+    scope maps each bound variable to its slot in env. Every predicate is
+    monotone in the counts and the edge set, so reading counts as intervals
+    and edges as sure/possible gives a definite value only when it holds in
+    every completion."""
+    if isinstance(expr, Quantified):
+        return _compile_quantified(expr, view, scope, env)
+    if isinstance(expr, (And, Or)):
+        items = [_compile(item, view, scope, env) for item in expr.items]
+        return _fold(items, isinstance(expr, And))
+    if isinstance(expr, Compare):
+        return _compile_compare(expr, view, scope, env)
+    if isinstance(expr, ConnectsTo):
+        p, q = scope[expr.src.var], scope[expr.dst.var]
+        a, b = expr.src.port, expr.dst.port
+        sure, possible = view.sure.families, view.possible.families
+
+        def connects():
+            u, v = env[p], env[q]
+            if (u, a, v, b) in sure or (v, b, u, a) in sure:
+                return True
+            if (u, a, v, b) in possible or (v, b, u, a) in possible:
                 return None
+            return False
+        return connects
+    if isinstance(expr, Reachable):
+        a, b = scope[expr.a], scope[expr.b]
+        sure_adj, possible_adj = view.sure.adj, view.possible.adj
+
+        def reachable():
+            u, v = env[a], env[b]
+            if evaluator.has_path(sure_adj, u, v):
+                return True
+            return None if evaluator.has_path(possible_adj, u, v) else False
+        return reachable
+    raise DeladasError(f"not a constraint expression: {expr!r}")
+
+
+def _fold(items: list, conjunction: bool):
+    """and/or over compiled items, stopping at the first deciding value."""
+    stop = not conjunction
+
+    def fold():
+        unknown = False
+        for item in items:
+            v = item()
+            if v is stop:
+                return stop
             if v is None:
-                still.append(index)
-        return tuple(still)
+                unknown = True
+        return None if unknown else conjunction
+    return fold
 
-    # -- three-valued recursion ------------------------------------------------
 
-    def _range(self, binder):
-        if binder.sort == HOST_SORT:
-            return [("host", h) for h in self.placement.hosts]
-        return [("inst", i) for i in self.placement.by_type.get(binder.sort, ())]
+def _compile_quantified(expr: Quantified, view: _View, scope, env):
+    """Binders the body does not mention are dropped (miniscoping): they
+    only repeat the body's value, unless their range is empty, which makes
+    the quantifier vacuous. Ranges change between placements, so that
+    emptiness is read when the quantifier runs."""
+    free = _free_vars(expr.body)
+    inner = dict(scope)
+    first = len(env)
+    live, dead = [], []
+    for b in expr.binders:
+        values = (view.hosts if b.sort == HOST_SORT
+                  else view.members.setdefault(b.sort, []))
+        if b.var in free:
+            inner[b.var] = len(env)
+            env.append(None)
+            live.append(values)
+        else:
+            dead.append(values)
+    end = len(env)
+    body = _compile(expr.body, view, inner, env)
+    forall = expr.kind == "forall"
+    stop = not forall  # the body value that decides the quantifier
 
-    def _eval(self, expr, env) -> bool | None:
-        if isinstance(expr, Quantified):
-            ranges = [self._range(b) for b in expr.binders]
-            names = [b.var for b in expr.binders]
-            if expr.kind == "forall":
-                result: bool | None = True
-                for combo in itertools.product(*ranges):
-                    env2 = dict(env)
-                    env2.update(zip(names, combo))
-                    v = self._eval(expr.body, env2)
-                    if v is False:
-                        return False
-                    if v is None:
-                        result = None
-                return result
-            some_unknown = False
-            for combo in itertools.product(*ranges):
-                env2 = dict(env)
-                env2.update(zip(names, combo))
-                v = self._eval(expr.body, env2)
-                if v is True:
-                    return True
-                if v is None:
-                    some_unknown = True
-            return None if some_unknown else False
-        if isinstance(expr, And):
-            result = True
-            for item in expr.items:
-                v = self._eval(item, env)
-                if v is False:
-                    return False
-                if v is None:
-                    result = None
-            return result
-        if isinstance(expr, Or):
-            some_unknown = False
-            for item in expr.items:
-                v = self._eval(item, env)
-                if v is True:
-                    return True
-                if v is None:
-                    some_unknown = True
-            return None if some_unknown else False
-        if isinstance(expr, Compare):
-            return self._compare(expr, env)
-        if isinstance(expr, ConnectsTo):
-            p = env[expr.src.var][1]
-            q = env[expr.dst.var][1]
-            fam = (p, expr.src.port, q, expr.dst.port)
-            rev = (q, expr.dst.port, p, expr.src.port)
-            if fam in self.sure.families or rev in self.sure.families:
-                return True
-            if fam in self.possible.families or rev in self.possible.families:
-                return None
-            return False
-        if isinstance(expr, Reachable):
-            a = env[expr.a][1]
-            b = env[expr.b][1]
-            if self._path(a, b, self.sure.adj):
-                return True
-            if self._path(a, b, self.possible.adj):
-                return None
-            return False
-        raise DeladasError(f"not a constraint expression: {expr!r}")
+    def quantified():
+        for values in dead:
+            if not values:
+                return forall
+        unknown = False
+        for combo in itertools.product(*live):
+            env[first:end] = combo
+            v = body()
+            if v is stop:
+                return stop
+            if v is None:
+                unknown = True
+        return None if unknown else forall
+    return quantified
 
-    @staticmethod
-    def _path(a, b, adj) -> bool:
-        if a == b:
-            return True
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v == b:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
 
-    def _interval(self, value, env) -> tuple[int, int] | tuple[str, object]:
-        if isinstance(value, IntLiteral):
-            return (value.value, value.value)
+def _compile_compare(expr: Compare, view: _View, scope, env):
+    if isinstance(expr.lhs, Var):  # validation: then both are, and = or !=
+        a, b = scope[expr.lhs.name], scope[expr.rhs.name]
+        equal = expr.op == "="
+        return lambda: (env[a] == env[b]) is equal
+    lhs, rhs = (_compile_count(v, view, scope, env) for v in (expr.lhs, expr.rhs))
+    decide = _DECIDE[expr.op]
+
+    def compare():
+        lo1, hi1 = lhs()
+        lo2, hi2 = rhs()
+        return decide(lo1, hi1, lo2, hi2)
+    return compare
+
+
+def _compile_count(value, view: _View, scope, env):
+    """An integer operand as a closure returning its interval (lo, hi)."""
+    if isinstance(value, IntLiteral):
+        pair = (value.value, value.value)
+        return lambda: pair
+    inner = value.inner
+    if isinstance(inner, InstancesOf):
+        h = scope[inner.host_var]
+        lo, hi = view.counts(inner.type_name)
+        return lambda: (lo[env[h]], hi[env[h]])
+    peer = scope[inner.peer_var]
+    sure, possible = view.sure.degree, view.possible.degree
+    type_name = inner.type_name
+
+    def card():
+        key = (env[peer], type_name)
+        return (sure.get(key, 0), possible.get(key, 0))
+    return card
+
+
+def _free_vars(expr) -> set[str]:
+    if isinstance(expr, Quantified):
+        return _free_vars(expr.body) - {b.var for b in expr.binders}
+    if isinstance(expr, (And, Or)):
+        return set().union(*map(_free_vars, expr.items))
+    if isinstance(expr, ConnectsTo):
+        return {expr.src.var, expr.dst.var}
+    if isinstance(expr, Reachable):
+        return {expr.a, expr.b}
+    out = set()
+    for value in (expr.lhs, expr.rhs):
         if isinstance(value, Var):
-            return env[value.name]
-        inner = value.inner
-        if isinstance(inner, InstancesOf):
-            return self.placement.count_bounds(env[inner.host_var][1],
-                                               inner.type_name)
-        peer = env[inner.peer_var][1]
-        name = inner.type_name
-        lo = sum(1 for i in self.sure.neigh.get(peer, ()) if i.type == name)
-        hi = sum(1 for i in self.possible.neigh.get(peer, ()) if i.type == name)
-        return (lo, hi)
-
-    def _compare(self, expr: Compare, env) -> bool | None:
-        lhs = self._interval(expr.lhs, env)
-        rhs = self._interval(expr.rhs, env)
-        lhs_val = isinstance(lhs[0], int)
-        rhs_val = isinstance(rhs[0], int)
-        if lhs_val != rhs_val:
-            raise evaluator.EvalTypeError("cannot compare a value with an integer")
-        if not lhs_val:
-            eq = lhs == rhs
-            return eq if expr.op == "=" else not eq
-        lo1, hi1 = lhs
-        lo2, hi2 = rhs
-        if expr.op in ("=", "!="):
-            if hi1 < lo2 or hi2 < lo1:
-                eq: bool | None = False
-            elif lo1 == hi1 == lo2 == hi2:
-                eq = True
-            else:
-                eq = None
-            if expr.op == "=":
-                return eq
-            return None if eq is None else not eq
-        table = {
-            "<=": (hi1 <= lo2, lo1 > hi2),
-            "<": (hi1 < lo2, lo1 >= hi2),
-            ">=": (lo1 >= hi2, hi1 < lo2),
-            ">": (lo1 > hi2, hi1 <= lo2),
-        }
-        certain_true, certain_false = table[expr.op]
-        if certain_true:
-            return True
-        if certain_false:
-            return False
-        return None
+            out.add(value.name)
+        elif isinstance(value, Card):
+            inner = value.inner
+            out.add(inner.host_var if isinstance(inner, InstancesOf)
+                    else inner.peer_var)
+    return out
 
 
 def _materialize(doc: SpecDocument, placement: _Placement,
                  edges: list[_Edge]) -> Configuration:
     """Assign variadic indices canonically and build the configuration."""
-    uses: dict[tuple[InstanceId, str], list[tuple[tuple, _Edge, str]]] = {}
+    ids, names = placement.ids, placement.names
+    uses: dict[tuple[int, str], list[tuple[tuple, _Edge, str]]] = {}
     for edge in edges:
-        src_key = (str(edge.dst), edge.dst_port, "s")
-        dst_key = (str(edge.src), edge.src_port, "d")
+        src_key = (names[edge.dst], edge.dst_port, "s")
+        dst_key = (names[edge.src], edge.src_port, "d")
         uses.setdefault((edge.src, edge.src_port), []).append((src_key, edge, "s"))
         uses.setdefault((edge.dst, edge.dst_port), []).append((dst_key, edge, "d"))
 
-    edge_index: dict[tuple[int, str], int] = {}
-    for family, family_uses in uses.items():
-        inst, port = family
-        ctype = doc.component(inst.type)
+    edge_index: dict[tuple[_Edge, str], int] = {}
+    for (inst, port), family_uses in uses.items():
+        ctype = doc.component(placement.types[inst])
         pdecl = ctype.port(port) if ctype else None
         if pdecl is None or not pdecl.variadic:
             continue
         for rank, (key, edge, role) in enumerate(sorted(family_uses,
                                                         key=lambda u: u[0])):
-            edge_index[(id(edge), role)] = rank
+            edge_index[(edge, role)] = rank
 
     channels = []
     for edge in edges:
-        src_idx = edge_index.get((id(edge), "s"))
-        dst_idx = edge_index.get((id(edge), "d"))
-        channels.append(Channel(PortSlot(edge.src, edge.src_port, src_idx),
-                                PortSlot(edge.dst, edge.dst_port, dst_idx)))
+        src_idx = edge_index.get((edge, "s"))
+        dst_idx = edge_index.get((edge, "d"))
+        channels.append(Channel(PortSlot(ids[edge.src], edge.src_port, src_idx),
+                                PortSlot(ids[edge.dst], edge.dst_port, dst_idx)))
     return Configuration.build(doc.hosts, placement.instances, channels)
 
 
@@ -587,11 +590,9 @@ class _Search:
         self.placement_nodes = 0
         self.wiring_nodes = 0
         self.solutions: list[Configuration] = []
-        self.prior_edges: set[tuple] = set()
-        if opts.prior is not None:
-            for ch in opts.prior.channels:
-                self.prior_edges.add((ch.src.instance, ch.src.port,
-                                      ch.dst.instance, ch.dst.port))
+        prior = opts.prior.channels if opts.prior is not None else ()
+        self.prior_edges = {(ch.src.instance, ch.src.port, ch.dst.instance,
+                             ch.dst.port) for ch in prior}
         self.pin_floors = _pin_floors(opts.pins)
         # Non-variadic ports admit a single channel per instance.
         self.fixed_ports = {(c.name, p.name) for c in doc.components
@@ -603,12 +604,27 @@ class _Search:
             i for i in clauses if i not in self.placement_clauses)
         self.bounds = cardinality_bounds(cs)
         self.bound_cuts = 0
+        self.view = _View(doc, self.pin_floors, opts.max_instances_per_host)
+        env: list = []
+        self.clauses = [_compile(c, self.view, {}, env) for c in cs.constraints]
 
     def _check_budget(self):
         if (self.opts.node_budget is not None
                 and self.placement_nodes + self.wiring_nodes
                 > self.opts.node_budget):
             raise _Budget()
+
+    def open_clauses(self, clauses: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The clauses (by index) not yet true in every completion of the
+        view, or None when one of them is false in every completion."""
+        still = []
+        for index in clauses:
+            v = self.clauses[index]()
+            if v is False:
+                return None
+            if v is None:
+                still.append(index)
+        return tuple(still)
 
     def placements(self):
         """Yield complete placements in canonical order, bounds respected,
@@ -621,13 +637,13 @@ class _Search:
         hosts = self.doc.hosts
         types = [c.name for c in self.doc.components]
         per_host = self.opts.max_instances_per_host
-        counts: dict[tuple[str, str], int] = {}
-        partial = _PartialPlacement(self.doc, counts, self.pin_floors, per_host)
-        ev = _PartialEval(partial, self.cs.constraints)
+        lo, hi = self.view.lo, self.view.hi
 
         def assign(i: int, total: int, clauses: tuple[int, ...]):
             if i == len(hosts):
-                yield _Placement(self.doc, dict(counts)), clauses
+                placed = {(h.name, t): lo[t][j]
+                          for j, h in enumerate(hosts) for t in types}
+                yield _Placement(self.doc, placed), clauses
                 return
             host = hosts[i].name
             floors = self.pin_floors.get(host, {})
@@ -638,16 +654,16 @@ class _Search:
                 self.placement_nodes += 1
                 self._check_budget()
                 for t, n in zip(types, vector):
-                    counts[(host, t)] = n
-                still = ev.open_clauses(clauses)
+                    lo[t][i] = hi[t][i] = n
+                still = self.open_clauses(clauses)
                 if still is None:
                     continue
-                if self._starved(partial):
+                if self._starved():
                     self.bound_cuts += 1
                     continue
                 yield from assign(i + 1, total + extra, still)
             for t in types:
-                counts.pop((host, t), None)
+                lo[t][i], hi[t][i] = floors.get(t, 0), per_host
 
         try:
             yield from assign(0, 0, self.placement_clauses)
@@ -656,15 +672,12 @@ class _Search:
             # breaks that cycle, so the search state is freed at once.
             del assign
 
-    def _starved(self, partial: _PartialPlacement) -> bool:
+    def _starved(self) -> bool:
         """True when some derived bound |X| <= k * |Y| fails in every
         completion: the fewest X possible exceed k times the most Y."""
-        for x, y, k in self.bounds:
-            lo = sum(partial.count_bounds(h, x)[0] for h in partial.hosts)
-            hi = sum(partial.count_bounds(h, y)[1] for h in partial.hosts)
-            if lo > k * hi:
-                return True
-        return False
+        counts = self.view.counts
+        return any(sum(counts(x)[0]) > k * sum(counts(y)[1])
+                   for x, y, k in self.bounds)
 
     def run(self) -> bool:
         """DFS over placements and wirings; returns True if fully explored."""
@@ -679,24 +692,28 @@ class _Search:
 
     def _wire(self, placement: _Placement, clauses: tuple[int, ...]) -> bool:
         candidates = _candidate_edges(placement, self.patterns)
-        # Decide surviving channels first so backtracking disturbs them last.
-        if self.prior_edges:
-            candidates.sort(key=lambda e: (e not in self.prior_edges, e.key()))
-        prefer_in = [e in self.prior_edges for e in candidates]
+        # Decide surviving channels first so backtracking disturbs them last
+        # (a stable sort keeps the name order within each group).
+        prior = self.prior_edges
+        if prior:
+            candidates.sort(key=lambda e: placement.ids_of(e) not in prior)
+        prefer_in = [placement.ids_of(e) in prior for e in candidates]
+        types = placement.types
         fixed = [tuple(fam for fam in ((e.src, e.src_port), (e.dst, e.dst_port))
-                       if (fam[0].type, fam[1]) in self.fixed_ports)
+                       if (types[fam[0]], fam[1]) in self.fixed_ports)
                  for e in candidates]
         budget = self.opts.channel_budget
         if budget is None:
             budget = len(placement.instances) ** 2
-        ev = _PartialEval(placement, self.cs.constraints, candidates)
-        used_fixed: set[tuple[InstanceId, str]] = set()
+        self.view.place(placement, candidates)
+        sure, possible = self.view.sure, self.view.possible
+        used_fixed: set[tuple[int, str]] = set()
         chosen: list[_Edge] = []
 
         def dfs(i: int, clauses: tuple[int, ...]) -> bool:
             self.wiring_nodes += 1
             self._check_budget()
-            still = ev.open_clauses(clauses)
+            still = self.open_clauses(clauses)
             if still is None:
                 return True
             if i == len(candidates):
@@ -720,17 +737,17 @@ class _Search:
                 if include:
                     if not include_ok:
                         continue
-                    ev.include(edge)
+                    sure.add(edge)
                     used_fixed.update(fixed[i])
                     chosen.append(edge)
                     keep_going = dfs(i + 1, still)
                     chosen.pop()
                     used_fixed.difference_update(fixed[i])
-                    ev.undo_include(edge)
+                    sure.remove(edge)
                 else:
-                    ev.exclude(edge)
+                    possible.remove(edge)
                     keep_going = dfs(i + 1, still)
-                    ev.undo_exclude(edge)
+                    possible.add(edge)
                 if not keep_going:
                     return False
             return True
@@ -838,11 +855,11 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
         if budget is None:
             budget = len(placement.instances) ** 2
 
-        nonvariadic: list[tuple[int, tuple[InstanceId, str]]] = []
+        nonvariadic: list[tuple[int, tuple[int, str]]] = []
         for idx, edge in enumerate(candidates):
             for inst, port in ((edge.src, edge.src_port),
                                (edge.dst, edge.dst_port)):
-                ctype = doc.component(inst.type)
+                ctype = doc.component(placement.types[inst])
                 pdecl = ctype.port(port) if ctype else None
                 if pdecl is not None and not pdecl.variadic:
                     nonvariadic.append((idx, (inst, port)))
@@ -851,15 +868,8 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
             nodes += 1
             if bin(mask).count("1") > budget:
                 continue
-            used: dict[tuple[InstanceId, str], int] = {}
-            clash = False
-            for idx, family in nonvariadic:
-                if mask >> idx & 1:
-                    used[family] = used.get(family, 0) + 1
-                    if used[family] > 1:
-                        clash = True
-                        break
-            if clash:
+            taken = [family for idx, family in nonvariadic if mask >> idx & 1]
+            if len(taken) != len(set(taken)):  # a non-variadic port reused
                 continue
             edges = [e for idx, e in enumerate(candidates) if mask >> idx & 1]
             config = _materialize(doc, placement, edges)

@@ -1,5 +1,8 @@
 import gc
 import hashlib
+import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -152,7 +155,7 @@ class TestOracleAgreement:
                      for ch in example.channels}
         placement = solver._Placement(
             doc, {(i.id.host, i.id.type): 1 for i in example.instances})
-        allowed = {(e.src, e.src_port, e.dst, e.dst_port)
+        allowed = {placement.ids_of(e)
                    for e in solver._candidate_edges(placement, patterns)}
         assert example_edges <= allowed
         assert len(example.channels) <= len(example.instances) ** 2
@@ -428,12 +431,13 @@ class TestSolutionOrderLock:
         "49da7f30f53389ba", "9f57cfd8bf3f3d22",
     ]
 
-    # (placement nodes, wiring nodes) of the first solution; the search
-    # visited 130, 341, 957, 3279 and 8759 nodes before it pruned, and
-    # (13, 22), (15, 30), (17, 38), (29, 519) and (31, 531) before it cut
-    # placements with derived cardinality bounds.
-    RANDC_NODES = {4: (10, 19), 5: (12, 27), 6: (14, 35), 7: (17, 53),
-                   8: (19, 65)}
+    # (placement nodes, wiring nodes, bound cuts) of the first solution; the
+    # search visited 130, 341, 957, 3279 and 8759 nodes at 4-8 hosts before
+    # it pruned, and (13, 22), (15, 30), (17, 38), (29, 519) and (31, 531)
+    # before it cut placements with derived cardinality bounds.
+    RANDC_NODES = {4: (10, 19, 2), 5: (12, 27, 2), 6: (14, 35, 2),
+                   7: (17, 53, 3), 8: (19, 65, 3), 10: (24, 103, 4),
+                   12: (28, 135, 4), 16: (38, 251, 6)}
 
     def test_randc_first_ten_solutions(self):
         got = {}
@@ -443,6 +447,21 @@ class TestSolutionOrderLock:
                 doc, "randc", solve(doc, "randc", SolveOptions(solution_limit=10)))
         assert got == self.RANDC_FIRST_TEN
 
+    # From ten hosts on, instance names no longer sort in host order
+    # ("Client@h10#0" < "Client@h2#0"), and candidate channels are tried in
+    # name order, whatever numbers the search gives the instances. Recorded
+    # before the search numbered its instances.
+    RANDC_FIRST_THREE = {10: "3120632491cc02ef", 11: "e17df555603ae15e",
+                         12: "be7a91361e752d64"}
+
+    def test_randc_first_three_solutions_past_nine_hosts(self):
+        got = {}
+        for hosts in self.RANDC_FIRST_THREE:
+            doc = helpers.randc_doc(hosts)
+            got[hosts] = _sequence_digest(
+                doc, "randc", solve(doc, "randc", SolveOptions(solution_limit=3)))
+        assert got == self.RANDC_FIRST_THREE
+
     def test_generated_documents(self):
         assert _generated_digests() == self.GENERATED
 
@@ -451,35 +470,45 @@ class TestSolutionOrderLock:
         for hosts in self.RANDC_NODES:
             stats = solve(helpers.randc_doc(hosts), "randc").stats
             assert stats.nodes == stats.placement_nodes + stats.wiring_nodes
-            got[hosts] = (stats.placement_nodes, stats.wiring_nodes)
+            got[hosts] = (stats.placement_nodes, stats.wiring_nodes,
+                          stats.bound_cuts)
         assert got == self.RANDC_NODES
 
 
 class TestIncrementalWiringState:
-    """include/exclude and their undo keep the evaluator's edge views equal
-    to a rebuild from scratch, whatever order the moves come in."""
+    """add/remove and their undo keep an edge set's views equal to a rebuild
+    from scratch, whatever order the moves come in. The edge set works on
+    instance numbers; its views are compared in instance ids, mapped back
+    through the placement."""
 
     @staticmethod
-    def _rebuild(candidates, status):
+    def _rebuild(edges, status):
         """The views as a from-scratch pass over the decided statuses
-        (1 included, -1 excluded, 0 open) computes them."""
+        (1 included, -1 excluded, 0 open) of id-level edges computes them."""
         sure = {"families": set(), "adj": {}, "neigh": {}}
         possible = {"families": set(), "adj": {}, "neigh": {}}
-        for edge, st in zip(candidates, status):
+        for edge, st in zip(edges, status):
+            src, _, dst, _ = edge
             for views, member in ((possible, st != -1), (sure, st == 1)):
                 if member:
                     views["families"].add(edge)
-                    views["adj"].setdefault(edge.src, set()).add(edge.dst)
-                    views["neigh"].setdefault(edge.src, set()).add(edge.dst)
-                    views["neigh"].setdefault(edge.dst, set()).add(edge.src)
+                    views["adj"].setdefault(src, set()).add(dst)
+                    views["neigh"].setdefault(src, set()).add(dst)
+                    views["neigh"].setdefault(dst, set()).add(src)
+        for views in (sure, possible):
+            neigh = views.pop("neigh")
+            views["degree"] = dict(Counter(
+                (u, v.type) for u, peers in neigh.items() for v in peers))
         return sure, possible
 
     @staticmethod
-    def _views(edge_set):
-        drop_empty = lambda d: {k: v for k, v in d.items() if v}
-        return {"families": set(edge_set.families),
-                "adj": drop_empty(edge_set.adj),
-                "neigh": drop_empty(edge_set.neigh)}
+    def _views(edge_set, placement):
+        ids = placement.ids
+        return {"families": {placement.ids_of(e) for e in edge_set.families},
+                "adj": {ids[u]: {ids[v] for v in vs}
+                        for u, vs in edge_set.adj.items() if vs},
+                "degree": {(ids[u], t): n
+                           for (u, t), n in edge_set.degree.items() if n}}
 
     def test_random_moves_match_a_rebuild(self):
         doc = helpers.merged_doc()
@@ -490,32 +519,211 @@ class TestIncrementalWiringState:
                             "Client"])})
         candidates = solver._candidate_edges(placement,
                                              solver.connect_patterns(cs))
+        edges = [placement.ids_of(e) for e in candidates]
         rng = helpers.rng(43)
         for _ in range(20):
-            ev = solver._PartialEval(placement, cs.constraints, candidates)
+            sure, possible = solver._EdgeSet(), solver._EdgeSet()
+            sure.reset(placement.types)
+            possible.reset(placement.types, candidates)
             status = [0] * len(candidates)
             order = rng.sample(range(len(candidates)), len(candidates))
             moves = []
             for i in order:
                 if rng.random() < 0.5:
-                    ev.include(candidates[i])
+                    sure.add(candidates[i])
                     status[i] = 1
                 else:
-                    ev.exclude(candidates[i])
+                    possible.remove(candidates[i])
                     status[i] = -1
                 moves.append(i)
-                sure, possible = self._rebuild(candidates, status)
-                assert self._views(ev.sure) == sure
-                assert self._views(ev.possible) == possible
+                want_sure, want_possible = self._rebuild(edges, status)
+                assert self._views(sure, placement) == want_sure
+                assert self._views(possible, placement) == want_possible
             for i in reversed(moves):
                 if status[i] == 1:
-                    ev.undo_include(candidates[i])
+                    sure.remove(candidates[i])
                 else:
-                    ev.undo_exclude(candidates[i])
+                    possible.add(candidates[i])
                 status[i] = 0
-                sure, possible = self._rebuild(candidates, status)
-                assert self._views(ev.sure) == sure
-                assert self._views(ev.possible) == possible
+                want_sure, want_possible = self._rebuild(edges, status)
+                assert self._views(sure, placement) == want_sure
+                assert self._views(possible, placement) == want_possible
+
+
+def _random_documents(seed: int, count: int):
+    """(doc, per-host bound, rng) from the two seeded solver generators and
+    from the evaluator's random documents, whose first goal (if any) is
+    renamed goal: nested and mixed quantifiers, every comparison."""
+    rng = helpers.rng(seed)
+    for n in range(count):
+        if n % 3 == 1:
+            yield generators.gen_bound_instance(rng) + (rng,)
+            continue
+        doc = generators.gen_document(rng) if n % 3 == 2 else None
+        if doc is None or not doc.constraintsets:
+            yield generators.gen_solver_instance(rng), 1, rng
+            continue
+        goal = lang.ConstraintSet("goal", doc.constraintsets[0].constraints)
+        yield replace(doc, constraintsets=(goal,)), 1, rng
+
+
+def _random_placement(rng, doc, per_host):
+    types = [c.name for c in doc.components]
+    counts = {}
+    for h in doc.hosts:
+        vector = rng.choice(solver._count_vectors(types, per_host, {}))
+        counts.update({(h.name, t): n for t, n in zip(types, vector)})
+    return solver._Placement(doc, counts)
+
+
+def _compiled_search(doc, per_host=1):
+    return solver._Search(doc, doc.constraintset("goal"), solver._check_options(
+        doc, SolveOptions(max_instances_per_host=per_host)))
+
+
+def _show(search, placement, possible, sure=()):
+    """Load a placement into the search's view with the given edges."""
+    search.view.place(placement, possible)
+    for edge in sure:
+        search.view.sure.add(edge)
+    return [clause() for clause in search.clauses]
+
+
+def _verdicts(doc, placement, edges):
+    """Per clause, whether evaluator.check finds it satisfied."""
+    cs = doc.constraintset("goal")
+    config = solver._materialize(doc, placement, edges)
+    violated = {v.index for v in evaluator.check(config, cs, doc).violations}
+    return [i not in violated for i in range(len(cs.constraints))]
+
+
+class TestCompiledClauses:
+    """The compiled three-valued clauses against evaluator.check, the
+    independent oracle: exact on complete configurations, and a definite
+    value on a partial state holds in every completion of it."""
+
+    def test_complete_configurations_match_the_evaluator(self):
+        compared = definite = 0
+        for doc, per_host, rng in _random_documents(61, 120):
+            search = _compiled_search(doc, per_host)
+            for _ in range(4):
+                placement = _random_placement(rng, doc, per_host)
+                candidates = solver._candidate_edges(placement, search.patterns)
+                chosen = [e for e in candidates if rng.random() < 0.4]
+                got = _show(search, placement, chosen, chosen)
+                assert got == _verdicts(doc, placement, chosen)
+                compared += len(got)
+                definite += sum(v is False for v in got)
+        assert compared >= 800 and definite >= 300
+
+    def test_definite_wiring_values_hold_in_every_completion(self):
+        decided = 0
+        for doc, per_host, rng in _random_documents(67, 150):
+            search = _compiled_search(doc, per_host)
+            placement = _random_placement(rng, doc, per_host)
+            candidates = solver._candidate_edges(placement, search.patterns)
+            status = [rng.choice((-1, 0, 1)) for _ in candidates]
+            open_edges = [e for e, st in zip(candidates, status) if st == 0]
+            if len(open_edges) > 7:
+                continue
+            sure = [e for e, st in zip(candidates, status) if st == 1]
+            got = _show(search, placement,
+                        [e for e, st in zip(candidates, status) if st != -1], sure)
+            for mask in range(1 << len(open_edges)):
+                extra = [e for i, e in enumerate(open_edges) if mask >> i & 1]
+                verdicts = _verdicts(doc, placement, sure + extra)
+                for value, verdict in zip(got, verdicts):
+                    assert value is None or value == verdict
+            decided += sum(v is not None for v in got)
+        assert decided >= 250
+
+    def test_definite_placement_values_hold_in_every_completion(self):
+        """Hosts placed in order, the rest read as [pin floor, bound]."""
+        decided = undecided = 0
+        for doc, per_host, rng in _random_documents(71, 150):
+            search = _compiled_search(doc, per_host)
+            types = [c.name for c in doc.components]
+            vectors = solver._count_vectors(types, per_host, {})
+            full = _random_placement(rng, doc, per_host)
+            placed = rng.randint(0, len(doc.hosts) - 1)
+            search.view.place(full, [])
+            for i in range(placed, len(doc.hosts)):
+                for t in types:
+                    search.view.lo[t][i], search.view.hi[t][i] = 0, per_host
+            got = {i: search.clauses[i]() for i in search.placement_clauses}
+            for rest in itertools.product(vectors, repeat=len(doc.hosts) - placed):
+                counts = dict(full.counts)
+                for h, vector in zip(doc.hosts[placed:], rest):
+                    counts.update({(h.name, t): n for t, n in zip(types, vector)})
+                verdicts = _verdicts(doc, solver._Placement(doc, counts), [])
+                for i, value in got.items():
+                    assert value is None or value == verdicts[i]
+            decided += sum(v is not None for v in got.values())
+            undecided += sum(v is None for v in got.values())
+        assert decided >= 30 and undecided >= 30
+
+    @pytest.mark.parametrize("op", ["<=", "<", ">=", ">", "=", "!="])
+    def test_interval_comparisons_against_every_pair(self, op):
+        """True when every pair of values in the two intervals compares
+        true, False when none does, None otherwise."""
+        holds = {"<=": int.__le__, "<": int.__lt__, ">=": int.__ge__,
+                 ">": int.__gt__, "=": int.__eq__, "!=": int.__ne__}[op]
+        intervals = [(lo, hi) for lo in range(4) for hi in range(lo, 4)]
+        for (a, b), (c, d) in itertools.product(intervals, repeat=2):
+            outcomes = {holds(x, y) for x in range(a, b + 1)
+                        for y in range(c, d + 1)}
+            want = outcomes.pop() if len(outcomes) == 1 else None
+            assert solver._DECIDE[op](a, b, c, d) is want
+
+    @pytest.mark.parametrize("kind, body, members, value", [
+        ("forall", "1 = 2", 0, True), ("exists", "1 = 1", 0, False),
+        ("forall", "1 = 2", 1, False), ("exists", "1 = 1", 1, True)])
+    def test_a_dropped_binder_with_an_empty_range_is_vacuous(
+            self, kind, body, members, value):
+        """The body never mentions b, so b is dropped, but only while some
+        B exists: over no B, forall holds and exists fails."""
+        doc = helpers.parse_snippet(
+            'component B(code = "b", ports = {p})\n'
+            'host m0 = host(ipaddress = "1")\n'
+            "constraintset goal = constraintset {\n"
+            f"  {kind} B b in deployment ( {body} ) }}\n")
+        search = _compiled_search(doc)
+        placement = solver._Placement(doc, {("m0", "B"): members})
+        assert _show(search, placement, []) == [value]
+
+
+def _nested_goal(levels: int, mentioned: int, count: int) -> str:
+    """levels nested `exists host` around one count of hN, N = mentioned."""
+    head = "".join(f"exists host h{i} in deployment ( " for i in range(levels))
+    return ('component A(code = "a", ports = {p})\n'
+            'host m0 = host(ipaddress = "1")\n'
+            'host m1 = host(ipaddress = "2")\n'
+            "constraintset goal = constraintset {\n" + head
+            + f"card(instancesof A in h{mentioned}) = {count}"
+            + " )" * levels + "\n}\n")
+
+
+class TestNestedQuantifiers:
+    """99 nested host quantifiers on 2 hosts: every unplaced host leaves the
+    count unknown, so without dropping the binders the body does not
+    mention, each evaluation would walk 2**98 assignments."""
+
+    def test_satisfiable(self):
+        """The count is of the innermost host, so evaluator.check, which
+        re-checks the solution without dropping binders, finds h98 = m1 at
+        once. With the outermost host it would walk 2**98 assignments."""
+        doc = lang.parse(_nested_goal(99, 98, 1))
+        out = solve(doc, "goal")
+        assert [str(b) for b in model.bindings_of(out.solutions[0])] == [
+            "A@m1x1"]
+        assert (out.stats.placement_nodes, out.stats.wiring_nodes) == (3, 1)
+
+    @pytest.mark.parametrize("mentioned", [98, 0])
+    def test_unsatisfiable(self, mentioned):
+        doc = lang.parse(_nested_goal(99, mentioned, 2))
+        out = solve(doc, "goal", SolveOptions(solution_limit=2))
+        assert out.solutions == () and out.exhausted
+        assert (out.stats.placement_nodes, out.stats.wiring_nodes) == (2, 0)
 
 
 class TestNoReferenceCycles:
