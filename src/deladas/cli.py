@@ -72,7 +72,8 @@ def _cmd_satisfy(args) -> int:
     stats = outcome.stats
     print(f"{len(outcome.solutions)} solution(s), {stats.nodes} nodes "
           f"({stats.placement_nodes} placement, {stats.wiring_nodes} wiring), "
-          f"{stats.bound_cuts} bound cuts, exhausted={outcome.exhausted}")
+          f"{stats.bound_cuts} bound cuts, {stats.evaluations} evaluations, "
+          f"exhausted={outcome.exhausted}")
     return 0 if outcome.solutions else 2
 
 

@@ -2,7 +2,9 @@
 
 This is the engine's ground truth; the solver is checked against it. All
 evaluation is pure and deterministic: quantifiers range in canonical order
-and the first falsifying assignment becomes the reported witness.
+and the first falsifying assignment becomes the reported witness. A binder
+its quantifier's body does not mention is tried at its first value only, so
+nested quantifiers cost time linear in their depth.
 
 Semantics notes:
   - `p.a connectsto q.b` holds when some channel joins slots of the two port
@@ -78,6 +80,7 @@ class _Context:
         self.out_edges: dict[InstanceId, set[InstanceId]] = {}
         self.neighbours: dict[InstanceId, set[InstanceId]] = {}
         self.families: set[tuple[InstanceId, str, InstanceId, str]] = set()
+        self._free: dict[int, set[str]] = {}
         for inst in config.instances:
             self.out_edges[inst.id] = set()
             self.neighbours[inst.id] = set()
@@ -90,6 +93,13 @@ class _Context:
 
     def reachable(self, a: InstanceId, b: InstanceId) -> bool:
         return has_path(self.out_edges, a, b)
+
+    def free_in_body(self, expr: Quantified) -> set[str]:
+        """lang.free_vars of the quantifier's body, once per check."""
+        free = self._free.get(id(expr))
+        if free is None:
+            free = self._free[id(expr)] = lang.free_vars(expr.body)
+        return free
 
     def connected(self, p: InstanceId, a: str, q: InstanceId, b: str) -> bool:
         return (p, a, q, b) in self.families or (q, b, p, a) in self.families
@@ -174,7 +184,15 @@ def _eval(expr, env: Environment, ctx: _Context) -> tuple[bool, Environment]:
     """
     if isinstance(expr, Quantified):
         names = [b.var for b in expr.binders]
+        # A binder the body does not mention only repeats the body's value,
+        # so its first value stands for its whole range (miniscoping), and an
+        # empty range still leaves no assignment. The first falsifying
+        # assignment in canonical order has such a binder at its first value,
+        # so the witness is the one the full product would report.
+        free = ctx.free_in_body(expr)
         ranges = [_binder_range(b, ctx) for b in expr.binders]
+        ranges = [r if b.var in free else r[:1]
+                  for b, r in zip(expr.binders, ranges)]
         # A flat product, not a recursive generator closure: such a closure
         # is a reference cycle that holds ctx until the cycle collector runs.
         assignments = ({**env, **dict(zip(names, combo))}

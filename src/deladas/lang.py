@@ -309,6 +309,28 @@ class Reachable:
 ConstraintExpr = Quantified | And | Or | Compare | ConnectsTo | Reachable
 
 
+def free_vars(expr: ConstraintExpr) -> set[str]:
+    """The variables expr reads that no quantifier inside it binds. The
+    counted variable of `card(T v connectedto p)` is bound by the card."""
+    if isinstance(expr, Quantified):
+        return free_vars(expr.body) - {b.var for b in expr.binders}
+    if isinstance(expr, (And, Or)):
+        return set().union(*map(free_vars, expr.items))
+    if isinstance(expr, ConnectsTo):
+        return {expr.src.var, expr.dst.var}
+    if isinstance(expr, Reachable):
+        return {expr.a, expr.b}
+    out = set()
+    for value in (expr.lhs, expr.rhs):
+        if isinstance(value, Var):
+            out.add(value.name)
+        elif isinstance(value, Card):
+            inner = value.inner
+            out.add(inner.host_var if isinstance(inner, InstancesOf)
+                    else inner.peer_var)
+    return out
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     name: str

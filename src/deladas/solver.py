@@ -7,24 +7,53 @@ every completion of the current node, True means true in every completion.
 A quantifier drops the binders its body does not mention while their range
 is non-empty (miniscoping), so nested quantifiers cost linear time.
 
+Ground items. A top-level `forall` whose body mentions its first binder is
+split into one item per value of that binder: a host position while
+placing, an instance number while wiring. Its other binders stay a nested
+forall, and its body closure is the only one compiled for it. Every other
+clause is one item. A static walk of the body anchors an item when its
+value can change only with its own host's counts (placing: every instance
+count reads that host) or with the channels at its own instance (wiring:
+no reachable, every connectsto has the instance at one end, every
+connectedto counts its neighbours). The root of each phase evaluates every
+item. After that a node evaluates only the unanchored items and those
+anchored on the host it assigned or on either end of the channel it
+decided, since no other item can have changed (as watched literals and
+propagation events do in SAT and CP solvers). A False item cuts the
+branch; a True one holds in every descendant and is dropped from the
+subtree. For the sample goal every clause but the strongly connected
+router mesh is anchored.
+
 Placement assigns hosts, in declaration order, a small multiset of
-instances within bounds. After each assignment the still-open
-placement-only clauses (those quantifying over hosts alone and reading only
-instance counts) are evaluated with every unassigned host's counts read as
-the interval [pin floor, max_instances_per_host]; a False cuts the branch.
-Clauses that mention instances or channels wait for the wiring phase, but
-placement also checks the bounds |X| <= k * |Y| that cardinality_bounds
-derives from them (every X needs a Y neighbour, every Y takes at most k X
-neighbours): a branch whose fewest X exceed k times its most Y is cut.
+instances within bounds. Placement-only clauses (those quantifying over
+hosts alone and reading only instance counts) are evaluated with every
+unassigned host's counts read as the interval [pin floor,
+max_instances_per_host]. Clauses that mention instances or channels wait
+for the wiring phase, but placement also checks the bounds |X| <= k * |Y|
+that cardinality_bounds derives from them (every X needs a Y neighbour,
+every Y takes at most k X neighbours): a branch whose fewest X exceed k
+times its most Y is cut.
 
 Wiring then decides, for every candidate channel, whether it is present.
 Candidate channels are the instantiations of the `connectsto` patterns
 appearing in the selected constraintset (typed port pairs, oriented as
 written) between the placement's instances, numbered 0..n-1, built once per
 placement. Each decision includes or excludes one edge in the view's
-incremental edge sets and is undone on backtrack. At each node only the
-clauses not yet entailed are evaluated: a False cuts the branch, and a True
-stays true in every descendant, so it is dropped from the set passed down.
+incremental edge sets and is undone on backtrack.
+
+No recursion. Both phases are loops over explicit stacks that undo their
+own decisions, and a node calls nothing deeper than the item closures, so
+a solve's deepest frame lies a fixed distance below its caller whatever
+the number of hosts and channels. CPython 3.11 and later allocate frames
+in 16 KiB chunks and free a chunk when its first frame returns, so a call
+that crosses a chunk boundary again and again allocates and frees a chunk
+each time. A search recursing once per host and per channel spans most of
+a chunk, and its cost depended on its caller's depth: for a pinned 8-host
+solve the slow depths repeated every ~136 wrapper frames (about 16 KiB),
+and on CPython 3.11.7 the solve took 1.6-1.7 ms at its best depth and
+4.8-6.9 ms at its worst (two sweeps). A flat search has such a slow zone
+too, but only where the boundary falls within the short span of its item
+closures and per-solution checks: about a tenth of all caller depths.
 
 Determinism: hosts and types are tried in declaration order (per host: empty
 first, then single instances of earlier-declared types, and so on); candidate
@@ -43,14 +72,17 @@ the same bounded space using only evaluator.check.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import evaluator
 from .lang import (And, Card, Compare, ConnectedTo, ConnectsTo, ConstraintSet,
                    DeladasError, HOST_SORT, InstancesOf, IntLiteral, Or,
-                   Quantified, Reachable, SpecDocument, ValidationError, Var)
+                   Quantified, Reachable, SpecDocument, ValidationError, Var,
+                   free_vars)
 from .model import (Binding, Channel, Configuration, Instance, InstanceId,
                     PortSlot, binding_sort_key, validate)
 
@@ -96,6 +128,7 @@ class SolveStats:
     wiring_nodes: int
     seconds: float
     bound_cuts: int = 0  # placement branches cut by a derived bound
+    evaluations: int = 0  # ground items evaluated, in both phases
 
     @property
     def nodes(self) -> int:
@@ -273,10 +306,6 @@ class _Placement:
         for n, type_name in enumerate(self.types):
             self.by_type.setdefault(type_name, []).append(n)
 
-    def ids_of(self, edge: _Edge) -> tuple[InstanceId, str, InstanceId, str]:
-        return (self.ids[edge.src], edge.src_port,
-                self.ids[edge.dst], edge.dst_port)
-
 
 def _candidate_edges(placement: _Placement,
                      patterns: list[tuple[str, str, str, str]]) -> list[_Edge]:
@@ -451,7 +480,7 @@ def _compile_quantified(expr: Quantified, view: _View, scope, env):
     only repeat the body's value, unless their range is empty, which makes
     the quantifier vacuous. Ranges change between placements, so that
     emptiness is read when the quantifier runs."""
-    free = _free_vars(expr.body)
+    free = free_vars(expr.body)
     inner = dict(scope)
     first = len(env)
     live, dead = [], []
@@ -520,24 +549,71 @@ def _compile_count(value, view: _View, scope, env):
     return card
 
 
-def _free_vars(expr) -> set[str]:
+class _Clause(NamedTuple):
+    """A compiled constraint as the search evaluates it: ground items.
+
+    A split clause (sort set) has one item per value of its first binder:
+    body runs with that value in env[slot]. Any other clause is one item,
+    its whole closure. anchored: each item's value depends only on its own
+    host's counts (placement clauses) or on the channels at its own instance
+    (wiring clauses)."""
+
+    body: Callable[[], bool | None]
+    slot: int
+    sort: str | None
+    anchored: bool
+
+    def items(self, view: _View) -> list[tuple]:
+        """(body, slot, value) per ground item, in value order."""
+        if self.sort is None:
+            return [(self.body, self.slot, None)]
+        values = view.hosts if self.sort == HOST_SORT else view.members[self.sort]
+        return [(self.body, self.slot, v) for v in values]
+
+
+def _compile_clause(expr, view: _View, env: list, placing: bool) -> _Clause:
+    """Split a top-level forall on its first binder when the body mentions
+    it; the other binders stay a nested forall. env[0] is the slot an
+    unsplit clause's item writes its (unused) value to."""
+    if (isinstance(expr, Quantified) and expr.kind == "forall"
+            and expr.binders[0].var in free_vars(expr.body)):
+        first, rest = expr.binders[0], expr.binders[1:]
+        body = Quantified("forall", rest, expr.body) if rest else expr.body
+        slot = len(env)
+        env.append(None)
+        if first.sort != HOST_SORT:
+            view.members.setdefault(first.sort, [])
+        # Placement anchors on hosts and wiring on instances.
+        anchored = ((first.sort == HOST_SORT) == placing
+                    and _anchored(body, first.var, placing))
+        return _Clause(_compile(body, view, {first.var: slot}, env), slot,
+                       first.sort, anchored)
+    return _Clause(_compile(expr, view, {}, env), 0, None, False)
+
+
+def _anchored(expr, x: str, placing: bool) -> bool:
+    """Whether expr, with x free, reads only the counts of host x (placing)
+    or only channels with instance x at one end (wiring: no reachable, every
+    connectsto has x at an end, every connectedto counts x's neighbours;
+    instance counts are fixed while wiring). A binder named x hides it."""
     if isinstance(expr, Quantified):
-        return _free_vars(expr.body) - {b.var for b in expr.binders}
+        return (all(b.var != x for b in expr.binders)
+                and _anchored(expr.body, x, placing))
     if isinstance(expr, (And, Or)):
-        return set().union(*map(_free_vars, expr.items))
+        return all(_anchored(item, x, placing) for item in expr.items)
     if isinstance(expr, ConnectsTo):
-        return {expr.src.var, expr.dst.var}
+        return not placing and x in (expr.src.var, expr.dst.var)
     if isinstance(expr, Reachable):
-        return {expr.a, expr.b}
-    out = set()
+        return False
     for value in (expr.lhs, expr.rhs):
-        if isinstance(value, Var):
-            out.add(value.name)
-        elif isinstance(value, Card):
-            inner = value.inner
-            out.add(inner.host_var if isinstance(inner, InstancesOf)
-                    else inner.peer_var)
-    return out
+        if not isinstance(value, Card):
+            continue
+        if isinstance(value.inner, InstancesOf):
+            if placing and value.inner.host_var != x:
+                return False
+        elif placing or value.inner.peer_var != x:
+            return False
+    return True
 
 
 def _materialize(doc: SpecDocument, placement: _Placement,
@@ -589,6 +665,7 @@ class _Search:
         self.patterns = connect_patterns(cs)
         self.placement_nodes = 0
         self.wiring_nodes = 0
+        self.evaluations = 0
         self.solutions: list[Configuration] = []
         prior = opts.prior.channels if opts.prior is not None else ()
         self.prior_edges = {(ch.src.instance, ch.src.port, ch.dst.instance,
@@ -597,80 +674,116 @@ class _Search:
         # Non-variadic ports admit a single channel per instance.
         self.fixed_ports = {(c.name, p.name) for c in doc.components
                             for p in c.ports if not p.variadic}
-        clauses = range(len(cs.constraints))
+        placing = [_placement_only(c) for c in cs.constraints]
         self.placement_clauses = tuple(
-            i for i in clauses if _placement_only(cs.constraints[i]))
+            i for i, p in enumerate(placing) if p)
         self.wiring_clauses = tuple(
-            i for i in clauses if i not in self.placement_clauses)
+            i for i, p in enumerate(placing) if not p)
         self.bounds = cardinality_bounds(cs)
         self.bound_cuts = 0
         self.view = _View(doc, self.pin_floors, opts.max_instances_per_host)
-        env: list = []
-        self.clauses = [_compile(c, self.view, {}, env) for c in cs.constraints]
+        self.env: list = [None]
+        self.clauses = [_compile_clause(c, self.view, self.env, p)
+                        for c, p in zip(cs.constraints, placing)]
 
-    def _check_budget(self):
-        if (self.opts.node_budget is not None
-                and self.placement_nodes + self.wiring_nodes
-                > self.opts.node_budget):
-            raise _Budget()
-
-    def open_clauses(self, clauses: tuple[int, ...]) -> tuple[int, ...] | None:
-        """The clauses (by index) not yet true in every completion of the
-        view, or None when one of them is false in every completion."""
-        still = []
-        for index in clauses:
-            v = self.clauses[index]()
-            if v is False:
-                return None
-            if v is None:
-                still.append(index)
-        return tuple(still)
-
-    def placements(self):
-        """Yield complete placements in canonical order, bounds respected,
-        each with its placement-only clauses that are still open (none,
-        unless there are no hosts to place on).
-
-        Every host assignment re-evaluates the open placement-only clauses
-        with unassigned hosts read as count intervals, and a clause false
-        in every completion cuts the branch."""
-        hosts = self.doc.hosts
-        types = [c.name for c in self.doc.components]
-        per_host = self.opts.max_instances_per_host
-        lo, hi = self.view.lo, self.view.hi
-
-        def assign(i: int, total: int, clauses: tuple[int, ...]):
-            if i == len(hosts):
-                placed = {(h.name, t): lo[t][j]
-                          for j, h in enumerate(hosts) for t in types}
-                yield _Placement(self.doc, placed), clauses
-                return
-            host = hosts[i].name
-            floors = self.pin_floors.get(host, {})
-            for vector in _count_vectors(types, per_host, floors):
-                extra = sum(vector)
-                if total + extra > self.opts.max_total_instances:
-                    continue
-                self.placement_nodes += 1
-                self._check_budget()
-                for t, n in zip(types, vector):
-                    lo[t][i] = hi[t][i] = n
-                still = self.open_clauses(clauses)
-                if still is None:
-                    continue
-                if self._starved():
-                    self.bound_cuts += 1
-                    continue
-                yield from assign(i + 1, total + extra, still)
-            for t in types:
-                lo[t][i], hi[t][i] = floors.get(t, 0), per_host
-
+    def run(self) -> bool:
+        """Search placements and wirings; returns True if fully explored."""
         try:
-            yield from assign(0, 0, self.placement_clauses)
-        finally:
-            # assign reaches itself through its closure: dropping the name
-            # breaks that cycle, so the search state is freed at once.
-            del assign
+            return self._place()
+        except _Budget:
+            return False
+
+    def _place(self) -> bool:
+        """Assign hosts in declaration order, each host its count vectors in
+        canonical order, and wire every complete placement. Returns False
+        when the solution limit is reached.
+
+        An explicit-stack loop: depth i is host i. The first host's node
+        evaluates every placement item; host i's node then evaluates the
+        unanchored items and those anchored on host i, with the unassigned
+        hosts read as count intervals. groups[h] holds the open items
+        anchored on host h and groups[-1] the unanchored ones; a node saves
+        the groups it replaces, and they are put back when it is left."""
+        doc, view, env = self.doc, self.view, self.env
+        hosts = doc.hosts
+        n = len(hosts)
+        types = [c.name for c in doc.components]
+        per_host = self.opts.max_instances_per_host
+        most = self.opts.max_total_instances
+        lo, hi = view.lo, view.hi
+        groups: list[list[tuple]] = [[] for _ in range(n + 1)]
+        for index in self.placement_clauses:
+            clause = self.clauses[index]
+            for item in clause.items(view):
+                groups[item[2] if clause.anchored else n].append(item)
+        if not n:
+            return self._wire(_Placement(doc, {}), groups[n])
+        floors = [self.pin_floors.get(h.name, {}) for h in hosts]
+        vectors = [_count_vectors(types, per_host, f) for f in floors]
+        tried = [0] * n
+        totals = [0] * n
+        saved: list[list[tuple[int, list]]] = [[] for _ in range(n)]
+        budget = self.opts.node_budget
+        if budget is None:
+            budget = sys.maxsize
+        i = 0
+        while True:
+            k = tried[i]
+            if k == len(vectors[i]):  # host i is spent: unassign it
+                for t in types:
+                    lo[t][i], hi[t][i] = floors[i].get(t, 0), per_host
+                if i == 0:
+                    return True
+                i -= 1
+                for g, items in saved[i]:
+                    groups[g] = items
+                continue
+            tried[i] = k + 1
+            vector = vectors[i][k]
+            total = totals[i] + sum(vector)
+            if total > most:
+                continue
+            self.placement_nodes += 1
+            if self.placement_nodes + self.wiring_nodes > budget:
+                raise _Budget()
+            for t, count in zip(types, vector):
+                lo[t][i] = hi[t][i] = count
+            cut = False
+            fresh = []
+            for g in (range(n + 1) if i == 0 else (i, n)):
+                keep = []
+                for item in groups[g]:
+                    self.evaluations += 1
+                    env[item[1]] = item[2]
+                    value = item[0]()
+                    if value is None:
+                        keep.append(item)
+                    elif value is False:
+                        cut = True
+                        break
+                if cut:
+                    break
+                fresh.append((g, keep))
+            if cut:
+                continue
+            if self._starved():
+                self.bound_cuts += 1
+                continue
+            saved[i] = [(g, groups[g]) for g, _ in fresh]
+            for g, items in fresh:
+                groups[g] = items
+            if i + 1 < n:
+                i += 1
+                tried[i] = 0
+                totals[i] = total
+                continue
+            placed = {(h.name, t): lo[t][j]
+                      for j, h in enumerate(hosts) for t in types}
+            if not self._wire(_Placement(doc, placed),
+                              [item for items in groups for item in items]):
+                return False
+            for g, items in saved[i]:
+                groups[g] = items
 
     def _starved(self) -> bool:
         """True when some derived bound |X| <= k * |Y| fails in every
@@ -679,25 +792,27 @@ class _Search:
         return any(sum(counts(x)[0]) > k * sum(counts(y)[1])
                    for x, y, k in self.bounds)
 
-    def run(self) -> bool:
-        """DFS over placements and wirings; returns True if fully explored."""
-        try:
-            for placement, clauses in self.placements():
-                if not self._wire(placement,
-                                  tuple(sorted(clauses + self.wiring_clauses))):
-                    return False  # solution limit reached
-            return True
-        except _Budget:
-            return False
+    def _wire(self, placement: _Placement, carried: list[tuple]) -> bool:
+        """Decide every candidate channel of a placement, include or exclude,
+        with the placement items still open in carried. Returns False when
+        the solution limit is reached.
 
-    def _wire(self, placement: _Placement, clauses: tuple[int, ...]) -> bool:
+        An explicit-stack loop: node i has candidates[:i] decided. The root
+        evaluates every item; node i then evaluates the unanchored items and
+        those anchored on either end of candidates[i - 1], and puts back the
+        groups it replaced when it is left. tried[i] counts the options node
+        i has tried, and the last one tried is the decision to undo."""
         candidates = _candidate_edges(placement, self.patterns)
-        # Decide surviving channels first so backtracking disturbs them last
-        # (a stable sort keeps the name order within each group).
-        prior = self.prior_edges
+        # Decide surviving channels first, include-first, so backtracking
+        # disturbs them last; each group keeps the name order.
+        number = {iid: n for n, iid in enumerate(placement.ids)}
+        prior = {(number[u], p, number[v], q) for u, p, v, q in self.prior_edges
+                 if u in number and v in number}
         if prior:
-            candidates.sort(key=lambda e: placement.ids_of(e) not in prior)
-        prefer_in = [placement.ids_of(e) in prior for e in candidates]
+            candidates = ([e for e in candidates if e in prior]
+                          + [e for e in candidates if e not in prior])
+        order = [(True, False) if e in prior else (False, True)
+                 for e in candidates]
         types = placement.types
         fixed = [tuple(fam for fam in ((e.src, e.src_port), (e.dst, e.dst_port))
                        if (types[fam[0]], fam[1]) in self.fixed_ports)
@@ -705,57 +820,114 @@ class _Search:
         budget = self.opts.channel_budget
         if budget is None:
             budget = len(placement.instances) ** 2
-        self.view.place(placement, candidates)
-        sure, possible = self.view.sure, self.view.possible
+        view, env = self.view, self.env
+        view.place(placement, candidates)
+        sure, possible = view.sure, view.possible
         used_fixed: set[tuple[int, str]] = set()
         chosen: list[_Edge] = []
-
-        def dfs(i: int, clauses: tuple[int, ...]) -> bool:
-            self.wiring_nodes += 1
-            self._check_budget()
-            still = self.open_clauses(clauses)
-            if still is None:
-                return True
-            if i == len(candidates):
-                if not still:
-                    config = _materialize(self.doc, placement, chosen)
-                    problems = validate(config, self.doc)
-                    if problems:  # pragma: no cover - guarded by construction
-                        raise DeladasError(
-                            f"solver produced invalid configuration: {problems}")
-                    result = evaluator.check(config, self.cs, self.doc)
-                    if not result.satisfied:  # pragma: no cover
-                        raise DeladasError(
-                            "solver solution rejected by evaluator")
-                    self.solutions.append(config)
-                    return len(self.solutions) < self.opts.solution_limit
-                return True
-            edge = candidates[i]
-            include_ok = (len(chosen) < budget
-                          and not any(f in used_fixed for f in fixed[i]))
-            for include in ((True, False) if prefer_in[i] else (False, True)):
-                if include:
-                    if not include_ok:
-                        continue
-                    sure.add(edge)
-                    used_fixed.update(fixed[i])
-                    chosen.append(edge)
-                    keep_going = dfs(i + 1, still)
-                    chosen.pop()
-                    used_fixed.difference_update(fixed[i])
-                    sure.remove(edge)
-                else:
-                    possible.remove(edge)
-                    keep_going = dfs(i + 1, still)
-                    possible.add(edge)
-                if not keep_going:
-                    return False
-            return True
-
+        n, m = len(placement.instances), len(candidates)
+        # Open items by anchor instance; groups[n] holds the unanchored ones.
+        groups: list[list[tuple]] = [[] for _ in range(n + 1)]
+        root = [(n, item) for item in carried]
+        for index in self.wiring_clauses:
+            clause = self.clauses[index]
+            root += ((item[2] if clause.anchored else n, item)
+                     for item in clause.items(view))
+        tried = [0] * (m + 1)
+        saved: list = [None] * (m + 1)
+        # The node count and budget check, inlined: placement nodes stay put
+        # while one placement is wired.
+        limit = self.opts.node_budget
+        limit = sys.maxsize if limit is None else limit - self.placement_nodes
+        nodes, evals = self.wiring_nodes, 0
+        i = 0
         try:
-            return dfs(0, clauses)
+            while True:
+                nodes += 1
+                if nodes > limit:
+                    raise _Budget()
+                cut = False
+                if i:
+                    edge = candidates[i - 1]
+                    a, b = edge.src, edge.dst
+                    saved[i] = touched = (groups[a], groups[b], groups[n])
+                    fresh = []
+                    for items in touched:
+                        keep = []
+                        for item in items:
+                            evals += 1
+                            env[item[1]] = item[2]
+                            value = item[0]()
+                            if value is None:
+                                keep.append(item)
+                            elif value is False:
+                                cut = True
+                                break
+                        if cut:
+                            break
+                        fresh.append(keep)
+                    if not cut:
+                        groups[a], groups[b], groups[n] = fresh
+                else:
+                    for g, item in root:
+                        evals += 1
+                        env[item[1]] = item[2]
+                        value = item[0]()
+                        if value is None:
+                            groups[g].append(item)
+                        elif value is False:
+                            cut = True
+                            break
+                if cut or i == m:
+                    tried[i] = 2
+                    if not cut:  # every edge decided: every item held
+                        self._accept(placement, chosen)
+                        if len(self.solutions) >= self.opts.solution_limit:
+                            return False
+                else:
+                    tried[i] = 0
+                # Take node i's next option, leaving the nodes that have none.
+                while True:
+                    k = tried[i]
+                    if k < 2:
+                        tried[i] = k + 1
+                        edge = candidates[i]
+                        if order[i][k]:
+                            if (len(chosen) >= budget
+                                    or not used_fixed.isdisjoint(fixed[i])):
+                                continue
+                            sure.add(edge)
+                            used_fixed.update(fixed[i])
+                            chosen.append(edge)
+                        else:
+                            possible.remove(edge)
+                        i += 1
+                        break
+                    if i == 0:
+                        return True
+                    edge = candidates[i - 1]
+                    groups[edge.src], groups[edge.dst], groups[n] = saved[i]
+                    i -= 1
+                    if order[i][tried[i] - 1]:
+                        chosen.pop()
+                        used_fixed.difference_update(fixed[i])
+                        sure.remove(edge)
+                    else:
+                        possible.add(edge)
         finally:
-            del dfs  # as in placements: break the closure's self-reference
+            self.wiring_nodes = nodes
+            self.evaluations += evals
+
+    def _accept(self, placement: _Placement, edges: list[_Edge]) -> None:
+        config = _materialize(self.doc, placement, edges)
+        problems = validate(config, self.doc)
+        if problems:  # pragma: no cover - guarded by construction
+            raise DeladasError(
+                f"solver produced invalid configuration: {problems}")
+        if not evaluator.check(config, self.cs, self.doc).satisfied:
+            raise DeladasError(  # pragma: no cover
+                "solver solution rejected by evaluator")
+        self.solutions.append(config)
 
 
 def solve(doc: SpecDocument, cs_name: str,
@@ -776,7 +948,8 @@ def solve(doc: SpecDocument, cs_name: str,
     elapsed = time.perf_counter() - started
     return SolveOutcome(tuple(search.solutions), exhausted,
                         SolveStats(search.placement_nodes, search.wiring_nodes,
-                                   elapsed, search.bound_cuts))
+                                   elapsed, search.bound_cuts,
+                                   search.evaluations))
 
 
 def resolve_with_relaxation(doc: SpecDocument, cs_name: str,

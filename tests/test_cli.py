@@ -46,7 +46,7 @@ class TestSatisfyCommand:
         assert files == ["solution-0.xml", "solution-1.xml"]
         summary = capsys.readouterr().out
         assert "placement" in summary and "wiring" in summary
-        assert "bound cuts" in summary
+        assert "bound cuts" in summary and "evaluations" in summary
         doc = helpers.merged_doc()
         for name in files:
             config = ddd.from_xml((out_dir / name).read_bytes(), doc)

@@ -315,3 +315,78 @@ def _simple_value(value, env, cfg):
             neighbours.add(ch.src.instance)
     neighbours.discard(peer)
     return sum(1 for i in cfg.instances_of(inner.type_name) if i in neighbours)
+
+
+def _nested(kind: str, levels: int, leaf: str) -> lang.SpecDocument:
+    """levels nested `kind host hI` around leaf, on hosts m0 and m1."""
+    head = "".join(f"{kind} host h{i} in deployment ( " for i in range(levels))
+    return lang.parse('component A(code = "a", ports = {p})\n'
+                      'host m0 = host(ipaddress = "1")\n'
+                      'host m1 = host(ipaddress = "2")\n'
+                      "constraintset goal = constraintset {\n"
+                      + head + leaf + " )" * levels + "\n}\n")
+
+
+def _a_on(doc, host: str) -> Configuration:
+    return Configuration.build(doc.hosts, [Instance(InstanceId("A", host, 0), "A")],
+                               [])
+
+
+class _FullProduct(evaluator._Context):
+    """Tries every value of every binder, as check did before it dropped
+    the binders a body does not mention."""
+
+    def free_in_body(self, expr):
+        return {b.var for b in expr.binders}
+
+
+class TestMiniscoping:
+    """A binder the body does not mention is tried at its first value only.
+    99 nested quantifiers on 2 hosts would otherwise walk 2**98 assignments
+    before reaching h0 = m1."""
+
+    def test_nested_exists_around_the_outermost_host(self):
+        doc = _nested("exists", 99, "card(instancesof A in h0) = 1")
+        cs = doc.constraintset("goal")
+        assert check(_a_on(doc, "m1"), cs, doc).satisfied
+        result = check(model.empty_on(doc.hosts), cs, doc)
+        assert [(v.index, v.witness) for v in result.violations] == [(0, ())]
+
+    def test_nested_forall_witness_binds_every_binder_in_order(self):
+        doc = _nested("forall", 99, "card(instancesof A in h0) = 0")
+        result = check(_a_on(doc, "m1"), doc.constraintset("goal"), doc)
+        witness = result.violations[0].witness
+        assert [var for var, _ in witness] == [f"h{i}" for i in range(99)]
+        assert [str(val) for _, val in witness] == ["m1"] + ["m0"] * 98
+
+    @pytest.mark.parametrize("kind, body, value", [
+        ("forall", "1 = 2", True), ("exists", "1 = 1", False)])
+    def test_an_unmentioned_binder_over_nothing_is_vacuous(self, kind, body,
+                                                           value):
+        doc = lang.parse('component A(code = "a", ports = {p})\n'
+                         'host m0 = host(ipaddress = "1")\n'
+                         "constraintset goal = constraintset {\n"
+                         f"  {kind} A a in deployment ( {body} ) }}\n")
+        empty = model.empty_on(doc.hosts)
+        assert check(empty, doc.constraintset("goal"), doc).satisfied is value
+
+    def test_verdicts_and_witnesses_match_the_full_product(self):
+        rng = helpers.rng(83)
+        compared = violated = 0
+        for _ in range(60):
+            doc = generators.gen_document(rng)
+            if not doc.constraintsets:
+                continue
+            for _ in range(3):
+                cfg = generators.gen_configuration(rng, doc, max_per_pair=2,
+                                                   max_channels=6)
+                for constraint in doc.constraintsets[0].constraints:
+                    got = evaluator._eval(constraint, {},
+                                          evaluator._Context(cfg, doc))
+                    want = evaluator._eval(constraint, {},
+                                           _FullProduct(cfg, doc))
+                    assert got[0] == want[0]
+                    assert list(got[1].items()) == list(want[1].items())
+                    compared += 1
+                    violated += not got[0]
+        assert compared >= 150 and violated >= 50

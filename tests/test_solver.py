@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -25,6 +26,12 @@ constraintset goal = constraintset {
   )
 }
 """
+
+
+def _ids_of(placement, edge):
+    """A candidate channel of a placement in instance ids."""
+    return (placement.ids[edge.src], edge.src_port,
+            placement.ids[edge.dst], edge.dst_port)
 
 
 class TestSolveBasics:
@@ -75,6 +82,31 @@ class TestSolveBasics:
         out = solve(doc, "randc", SolveOptions(node_budget=10))
         assert not out.exhausted
         assert out.solutions == ()
+
+    def test_node_budget_stops_at_the_first_node_past_it(self):
+        """Whichever phase the budget runs out in, and however many nodes
+        the other phase has visited, the search stops at node budget + 1
+        with the solutions found before it."""
+        doc = helpers.randc_doc(4)
+        opts = SolveOptions(solution_limit=30)  # over 16 placement nodes
+        full = solve(doc, "randc", opts)
+        for budget in range(full.stats.nodes):
+            out = solve(doc, "randc", replace(opts, node_budget=budget))
+            assert out.stats.nodes == budget + 1 and not out.exhausted
+            assert out.solutions == full.solutions[:len(out.solutions)]
+
+    @pytest.mark.parametrize("kind, solutions, nodes", [
+        ("exists", 0, (0, 1)), ("forall", 1, (0, 1))])
+    def test_no_hosts(self, kind, solutions, nodes):
+        """With no host to place on, the host clauses are decided at the
+        root of the wiring phase: exists fails and forall holds."""
+        doc = lang.parse('component A(code = "a", ports = {p})\n'
+                         "constraintset goal = constraintset {\n"
+                         f"  {kind} host h in deployment ( "
+                         "card(instancesof A in h) = 0 ) }\n")
+        out = solve(doc, "goal", SolveOptions(solution_limit=2))
+        assert len(out.solutions) == solutions and out.exhausted
+        assert (out.stats.placement_nodes, out.stats.wiring_nodes) == nodes
 
     def test_prior_channels_are_replayed(self):
         doc = helpers.merged_doc()
@@ -155,7 +187,7 @@ class TestOracleAgreement:
                      for ch in example.channels}
         placement = solver._Placement(
             doc, {(i.id.host, i.id.type): 1 for i in example.instances})
-        allowed = {placement.ids_of(e)
+        allowed = {_ids_of(placement, e)
                    for e in solver._candidate_edges(placement, patterns)}
         assert example_edges <= allowed
         assert len(example.channels) <= len(example.instances) ** 2
@@ -439,6 +471,10 @@ class TestSolutionOrderLock:
                    7: (17, 53, 3), 8: (19, 65, 3), 10: (24, 103, 4),
                    12: (28, 135, 4), 16: (38, 251, 6)}
 
+    # Ground items evaluated for the first solution, in both phases.
+    RANDC_EVALUATIONS = {4: 75, 5: 110, 6: 141, 7: 260, 8: 321, 10: 595,
+                         12: 773, 16: 1877}
+
     def test_randc_first_ten_solutions(self):
         got = {}
         for hosts in self.RANDC_FIRST_TEN:
@@ -465,14 +501,38 @@ class TestSolutionOrderLock:
     def test_generated_documents(self):
         assert _generated_digests() == self.GENERATED
 
-    def test_randc_node_counts(self):
+    # Solves of randc that prefer the channels of a prior solution (its 4th
+    # and 8th): (nodes, sequence digest) of the first three solutions,
+    # recorded before the search was flattened. They fail if the prior's
+    # channels are no longer decided first.
+    RANDC_PRIOR = {5: [(38, "b03a443155d3"), (32, "7faed09baab5")],
+                   6: [(46, "67739f999662"), (38, "2539c7344fbe")],
+                   7: [(57, "fdd2e9055547"), (57, "d8cc3c528773")],
+                   8: [(65, "690bb064c02f"), (65, "9856b69163fc")]}
+
+    def test_randc_prior_resolves(self):
         got = {}
+        for hosts in self.RANDC_PRIOR:
+            doc = helpers.randc_doc(hosts)
+            sols = solve(doc, "randc", SolveOptions(solution_limit=8)).solutions
+            got[hosts] = []
+            for prior in (sols[3], sols[7]):
+                out = solve(doc, "randc",
+                            SolveOptions(solution_limit=3, prior=prior))
+                got[hosts].append((out.stats.nodes, _sequence_digest(
+                    doc, "randc", out)[:12]))
+        assert got == self.RANDC_PRIOR
+
+    def test_randc_node_counts(self):
+        got, evaluations = {}, {}
         for hosts in self.RANDC_NODES:
             stats = solve(helpers.randc_doc(hosts), "randc").stats
             assert stats.nodes == stats.placement_nodes + stats.wiring_nodes
             got[hosts] = (stats.placement_nodes, stats.wiring_nodes,
                           stats.bound_cuts)
+            evaluations[hosts] = stats.evaluations
         assert got == self.RANDC_NODES
+        assert evaluations == self.RANDC_EVALUATIONS
 
 
 class TestIncrementalWiringState:
@@ -504,7 +564,7 @@ class TestIncrementalWiringState:
     @staticmethod
     def _views(edge_set, placement):
         ids = placement.ids
-        return {"families": {placement.ids_of(e) for e in edge_set.families},
+        return {"families": {_ids_of(placement, e) for e in edge_set.families},
                 "adj": {ids[u]: {ids[v] for v in vs}
                         for u, vs in edge_set.adj.items() if vs},
                 "degree": {(ids[u], t): n
@@ -519,7 +579,7 @@ class TestIncrementalWiringState:
                             "Client"])})
         candidates = solver._candidate_edges(placement,
                                              solver.connect_patterns(cs))
-        edges = [placement.ids_of(e) for e in candidates]
+        edges = [_ids_of(placement, e) for e in candidates]
         rng = helpers.rng(43)
         for _ in range(20):
             sure, possible = solver._EdgeSet(), solver._EdgeSet()
@@ -581,12 +641,26 @@ def _compiled_search(doc, per_host=1):
         doc, SolveOptions(max_instances_per_host=per_host)))
 
 
+def _clause_value(search, index):
+    """A clause's three-valued value as the fold of its ground items: False
+    if one is False, else None if one is None, else True."""
+    value = True
+    for body, slot, v in search.clauses[index].items(search.view):
+        search.env[slot] = v
+        got = body()
+        if got is False:
+            return False
+        if got is None:
+            value = None
+    return value
+
+
 def _show(search, placement, possible, sure=()):
     """Load a placement into the search's view with the given edges."""
     search.view.place(placement, possible)
     for edge in sure:
         search.view.sure.add(edge)
-    return [clause() for clause in search.clauses]
+    return [_clause_value(search, i) for i in range(len(search.clauses))]
 
 
 def _verdicts(doc, placement, edges):
@@ -650,7 +724,7 @@ class TestCompiledClauses:
             for i in range(placed, len(doc.hosts)):
                 for t in types:
                     search.view.lo[t][i], search.view.hi[t][i] = 0, per_host
-            got = {i: search.clauses[i]() for i in search.placement_clauses}
+            got = {i: _clause_value(search, i) for i in search.placement_clauses}
             for rest in itertools.product(vectors, repeat=len(doc.hosts) - placed):
                 counts = dict(full.counts)
                 for h, vector in zip(doc.hosts[placed:], rest):
@@ -692,6 +766,194 @@ class TestCompiledClauses:
         assert _show(search, placement, []) == [value]
 
 
+# Clauses, and the sort of the binder each is split on (None: not split)
+# and whether its items are anchored.
+ANCHOR_CASES = [
+    ("forall host h in deployment ( card(instancesof A in h) = 1 )",
+     "host", True),
+    ("forall host h in deployment ( exists host g in deployment ( "
+     "card(instancesof A in g) = 1 or g = h ) )", "host", False),
+    ("forall host h in deployment ( exists host g in deployment ( "
+     "card(instancesof A in h) = 1 or g = h ) )", "host", True),
+    ("forall A a in deployment ( exists A b in deployment ( "
+     "a.p connectsto b.q ) )", "A", True),
+    ("forall A a in deployment ( exists A b, A c in deployment ( "
+     "b.p connectsto c.q a != b ) )", "A", False),
+    ("forall A a, A b in deployment ( b.p connectsto a.q )", "A", True),
+    ("forall A a in deployment ( forall A b in deployment ( "
+     "card(A v connectedto a) <= 1 ) )", "A", True),
+    ("forall A a in deployment ( forall A b in deployment ( "
+     "card(A v connectedto b) <= 1 or a = b ) )", "A", False),
+    ("forall A a in deployment ( reachable(a, a) )", "A", False),
+    ("forall A a in deployment ( exists host h in deployment ( "
+     "card(instancesof A in h) = 2 or a.p connectsto a.q ) )", "A", True),
+    ("forall host h in deployment ( exists A a in deployment ( "
+     "a.p connectsto a.q or card(instancesof A in h) = 0 ) )", "host",
+     False),
+    ("forall A a in deployment ( 1 = 1 )", None, False),
+    ("exists A a in deployment ( a.p connectsto a.q )", None, False),
+]
+
+ANCHOR_RESOURCES = ('component A(code = "a", ports = {p, q})\n'
+                    + "".join(f'host m{i} = host(ipaddress = "{i}")\n'
+                              for i in range(3)))
+
+
+def _anchor_documents(seed: int, count: int):
+    """(doc, per-host bound, rng) for a goal of all ANCHOR_CASES clauses,
+    which has unanchored shapes the random goals seldom have."""
+    doc = helpers.parse_snippet(
+        ANCHOR_RESOURCES + "constraintset goal = constraintset {\n"
+        + "\n".join(clause for clause, _, _ in ANCHOR_CASES) + "\n}\n")
+    rng = helpers.rng(seed)
+    for _ in range(count):
+        yield doc, 2, rng
+
+
+def _anchored_values(search, indices):
+    """{(clause index, anchor): value} over the anchored clauses' items."""
+    out = {}
+    for index in indices:
+        clause = search.clauses[index]
+        if clause.anchored:
+            for body, slot, v in clause.items(search.view):
+                search.env[slot] = v
+                out[(index, v)] = body()
+    return out
+
+
+def _set_status(edge_sets, edge, old: int, new: int) -> None:
+    """Move an edge between included (1), open (0) and excluded (-1)."""
+    sure, possible = edge_sets
+    if old == 1:
+        sure.remove(edge)
+    if old == -1:
+        possible.add(edge)
+    if new == 1:
+        sure.add(edge)
+    if new == -1:
+        possible.remove(edge)
+
+
+class TestAnchors:
+    """An item anchored on a host reads only that host's counts while
+    placing; one anchored on an instance reads only the channels at that
+    instance while wiring. Any other host or channel may change under it."""
+
+    def test_randc_anchors(self):
+        doc = helpers.merged_doc()
+        search = solver._Search(doc, doc.constraintset("randc"),
+                                solver._check_options(doc, SolveOptions()))
+        assert [(c.sort, c.anchored) for c in search.clauses] == [
+            ("host", True), ("Client", True), ("Router", True),
+            ("Router", True), ("Router", False)]
+
+    @pytest.mark.parametrize("clause, sort, anchored", ANCHOR_CASES)
+    def test_which_clauses_are_split_and_anchored(self, clause, sort, anchored):
+        """Placement items anchor on hosts and wiring items on instances."""
+        doc = helpers.parse_snippet(
+            ANCHOR_RESOURCES + "constraintset goal = constraintset {\n"
+            + clause + "\n}\n")
+        (got,) = _compiled_search(doc).clauses
+        assert (got.sort, got.anchored) == (sort, anchored)
+
+    def test_a_binder_reusing_the_anchor_name_hides_it(self):
+        """Validation rejects the shadowing; the walk does not rely on it."""
+        link = lang.ConnectsTo(lang.PortRef("x", "p"), lang.PortRef("y", "q"))
+        inner = lang.Quantified("exists", (lang.Binder("y", "B"),), link)
+        assert solver._anchored(inner, "x", False)
+        shadow = lang.Quantified("exists", (lang.Binder("x", "B"),), inner)
+        assert not solver._anchored(shadow, "x", False)
+
+    def test_placement_items_ignore_other_hosts(self):
+        compared = changed = 0
+        for doc, per_host, rng in itertools.chain(_random_documents(73, 300),
+                                                  _anchor_documents(89, 20)):
+            search = _compiled_search(doc, per_host)
+            view = search.view
+            types = [c.name for c in doc.components]
+            states = [None] + solver._count_vectors(types, per_host, {})
+
+            def put(h, state):
+                for j, t in enumerate(types):
+                    view.lo[t][h], view.hi[t][h] = (
+                        (0, per_host) if state is None else (state[j],) * 2)
+            for h in view.hosts:
+                put(h, rng.choice(states))
+            before = _anchored_values(search, search.placement_clauses)
+            for h in view.hosts:
+                saved = [(view.lo[t][h], view.hi[t][h]) for t in types]
+                put(h, rng.choice(states))
+                after = _anchored_values(search, search.placement_clauses)
+                for (index, anchor), value in before.items():
+                    if anchor != h:
+                        assert after[(index, anchor)] is value
+                        compared += 1
+                    else:
+                        changed += after[(index, anchor)] is not value
+                for t, (lo, hi) in zip(types, saved):
+                    view.lo[t][h], view.hi[t][h] = lo, hi
+        assert compared >= 500 and changed >= 100
+
+    def test_wiring_items_ignore_other_channels(self):
+        compared = changed = 0
+        for doc, per_host, rng in itertools.chain(_random_documents(79, 150),
+                                                  _anchor_documents(97, 20)):
+            search = _compiled_search(doc, per_host)
+            view = search.view
+            # Up to three instances per host, so most channels miss most
+            # anchors.
+            placement = _random_placement(rng, doc, 3)
+            candidates = solver._candidate_edges(placement, search.patterns)
+            view.place(placement, candidates)
+            edge_sets = (view.sure, view.possible)
+            status = [rng.choice((-1, 0, 1)) for _ in candidates]
+            for edge, st in zip(candidates, status):
+                _set_status(edge_sets, edge, 0, st)
+            before = _anchored_values(search, search.wiring_clauses)
+            for edge, st in zip(candidates, status):
+                new = rng.choice([x for x in (-1, 0, 1) if x != st])
+                _set_status(edge_sets, edge, st, new)
+                after = _anchored_values(search, search.wiring_clauses)
+                for (index, anchor), value in before.items():
+                    if anchor not in (edge.src, edge.dst):
+                        assert after[(index, anchor)] is value
+                        compared += 1
+                    else:
+                        changed += after[(index, anchor)] is not value
+                _set_status(edge_sets, edge, new, st)
+        assert compared >= 1000 and changed >= 100
+
+
+class TestFrameDepth:
+    def test_search_depth_does_not_grow_with_hosts(self):
+        """Both phases loop over explicit stacks, so a solve's deepest Python
+        frame lies as far below its caller at 12 hosts as at 4. (Recursing
+        once per host and per channel took it 24 frames deep at 4 hosts and
+        100 at 12.)"""
+        def depth(frame):
+            n = 0
+            while frame is not None:
+                n, frame = n + 1, frame.f_back
+            return n
+
+        peaks = {}
+        for hosts in (4, 12):
+            doc = helpers.randc_doc(hosts)
+            base, peak = depth(sys._getframe()), [0]
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    peak[0] = max(peak[0], depth(frame))
+            sys.setprofile(profile)
+            try:
+                solve(doc, "randc")
+            finally:
+                sys.setprofile(None)
+            peaks[hosts] = peak[0] - base
+        assert peaks[4] == peaks[12]
+
+
 def _nested_goal(levels: int, mentioned: int, count: int) -> str:
     """levels nested `exists host` around one count of hN, N = mentioned."""
     head = "".join(f"exists host h{i} in deployment ( " for i in range(levels))
@@ -708,11 +970,13 @@ class TestNestedQuantifiers:
     count unknown, so without dropping the binders the body does not
     mention, each evaluation would walk 2**98 assignments."""
 
-    def test_satisfiable(self):
-        """The count is of the innermost host, so evaluator.check, which
-        re-checks the solution without dropping binders, finds h98 = m1 at
-        once. With the outermost host it would walk 2**98 assignments."""
-        doc = lang.parse(_nested_goal(99, 98, 1))
+    @pytest.mark.parametrize("mentioned", [98, 0])
+    def test_satisfiable(self, mentioned):
+        """evaluator.check re-checks the solution. Counting the outermost
+        host, it would try h0 = m0 with all 2**98 assignments of h1..h98
+        before h0 = m1, unless it too drops the binders the body does not
+        mention."""
+        doc = lang.parse(_nested_goal(99, mentioned, 1))
         out = solve(doc, "goal")
         assert [str(b) for b in model.bindings_of(out.solutions[0])] == [
             "A@m1x1"]
