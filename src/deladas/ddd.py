@@ -10,9 +10,10 @@ is the reference interpreter for those plans.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lang import DeladasError, HostSpec, SpecDocument, ValidationError
+from .lang import (DeladasError, HostSpec, SpecDocument, ValidationError,
+                   record)
 from .model import (Channel, Configuration, Instance, InstanceId, PortSlot,
                     validate)
 
@@ -33,24 +34,24 @@ class SchemaError(DeladasError):
 # Actions and plans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Unwire:
+@record
+class Unwire(NamedTuple):
     channel: Channel
 
     def __str__(self) -> str:
         return f"unwire {self.channel.src} {self.channel.dst}"
 
 
-@dataclass(frozen=True)
-class Terminate:
+@record
+class Terminate(NamedTuple):
     instance: InstanceId
 
     def __str__(self) -> str:
         return f"terminate {self.instance}"
 
 
-@dataclass(frozen=True)
-class Install:
+@record
+class Install(NamedTuple):
     instance: InstanceId
     code: str
     host: str
@@ -59,16 +60,16 @@ class Install:
         return f"install {self.host} {self.code}"
 
 
-@dataclass(frozen=True)
-class Instantiate:
+@record
+class Instantiate(NamedTuple):
     instance: InstanceId
 
     def __str__(self) -> str:
         return f"instantiate {self.instance}"
 
 
-@dataclass(frozen=True)
-class Wire:
+@record
+class Wire(NamedTuple):
     channel: Channel
 
     def __str__(self) -> str:
@@ -81,9 +82,22 @@ Action = Unwire | Terminate | Install | Instantiate | Wire
 _PHASES = (Unwire, Terminate, Install, Instantiate, Wire)
 
 
-@dataclass(frozen=True)
 class EnactmentPlan:
-    actions: tuple[Action, ...] = ()
+    """An ordered sequence of actions: iterating a plan or taking its length
+    goes over its actions. A plain class, since a tuple would iterate and
+    measure its one field."""
+
+    __slots__ = ("actions",)
+
+    def __init__(self, actions: tuple[Action, ...] = ()):
+        self.actions = actions
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is EnactmentPlan
+                and self.actions == other.actions)
+
+    def __repr__(self) -> str:
+        return f"EnactmentPlan(actions={self.actions!r})"
 
     def __iter__(self):
         return iter(self.actions)
@@ -159,8 +173,8 @@ def to_xml(config: Configuration, doc: SpecDocument,
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-@dataclass(frozen=True)
-class DddDocument:
+@record
+class DddDocument(NamedTuple):
     """Everything a DDD carries beyond the bare Configuration."""
 
     configuration: Configuration
@@ -179,6 +193,10 @@ def parse_ddd(data: bytes, doc: SpecDocument | None = None) -> DddDocument:
         root = ET.fromstring(data)
     except ET.ParseError as e:
         raise XmlError(str(e), getattr(e, "position", None)) from None
+    except (LookupError, ValueError) as e:
+        # The declared encoding is unknown, not a text codec, multi-byte
+        # (expat decodes only single-byte ones itself) or fails to decode.
+        raise XmlError(f"unusable encoding: {e}") from None
     if root.tag != "deployment":
         raise SchemaError(f"expected <deployment>, found <{root.tag}>")
     extra = set(root.attrib) - {"constraintset"}

@@ -18,12 +18,12 @@ Semantics notes:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import lang
 from .lang import (And, Card, Compare, ConnectsTo, ConstraintSet,
                    DeladasError, HOST_SORT, InstancesOf, IntLiteral, Or,
-                   Quantified, Reachable, SpecDocument, Var)
+                   Quantified, Reachable, SpecDocument, Var, record)
 from .model import Configuration, InstanceId
 
 
@@ -35,16 +35,16 @@ class UnknownInstance(DeladasError):
     pass
 
 
-@dataclass(frozen=True)
-class HostBinding:
+@record
+class HostBinding(NamedTuple):
     host: str
 
     def __str__(self) -> str:
         return self.host
 
 
-@dataclass(frozen=True)
-class InstanceBinding:
+@record
+class InstanceBinding(NamedTuple):
     instance: InstanceId
 
     def __str__(self) -> str:
@@ -54,8 +54,8 @@ class InstanceBinding:
 Environment = dict[str, "HostBinding | InstanceBinding"]
 
 
-@dataclass(frozen=True)
-class Violation:
+@record
+class Violation(NamedTuple):
     index: int
     witness: tuple[tuple[str, HostBinding | InstanceBinding], ...]
 
@@ -65,8 +65,8 @@ class Violation:
             else f"constraint {self.index} violated"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+@record
+class CheckResult(NamedTuple):
     satisfied: bool
     violations: tuple[Violation, ...]
 

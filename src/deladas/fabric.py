@@ -20,10 +20,10 @@ Trace log: one line per event/effect, "<tick> <kind> <args...>".
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ddd import EnactmentPlan, Install, Instantiate, Terminate, Unwire, Wire
-from .lang import DeladasError, HostSpec
+from .lang import DeladasError, HostSpec, record
 from .model import Channel, InstanceId
 
 DEFAULT_HEARTBEAT_TIMEOUT = 3
@@ -59,45 +59,45 @@ class ScenarioError(FabricError):
 # Events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrashProcess:
+@record
+class CrashProcess(NamedTuple):
     at: int
     instance: InstanceId
 
 
-@dataclass(frozen=True)
-class CrashHost:
+@record
+class CrashHost(NamedTuple):
     at: int
     host: str
 
 
-@dataclass(frozen=True)
-class AddHost:
+@record
+class AddHost(NamedTuple):
     at: int
     host: HostSpec
 
 
-@dataclass(frozen=True)
-class Heartbeat:
+@record
+class Heartbeat(NamedTuple):
     at: int
     source: str
 
 
-@dataclass(frozen=True)
-class AmpReport:
+@record
+class AmpReport(NamedTuple):
     at: int
     host: str
     failed_instance: InstanceId
 
 
-@dataclass(frozen=True)
-class HostFailureSuspected:
+@record
+class HostFailureSuspected(NamedTuple):
     at: int
     host: str
 
 
-@dataclass(frozen=True)
-class Revise:
+@record
+class Revise(NamedTuple):
     at: int
     constraints_path: str
     resources_path: str
@@ -111,20 +111,20 @@ FabricEvent = (CrashProcess | CrashHost | AddHost | Heartbeat | AmpReport
 # State
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MachineState:
-    instance: InstanceId
-    alive: bool = True
-    channels: set[Channel] = field(default_factory=set)
+    def __init__(self, instance: InstanceId):
+        self.instance = instance
+        self.alive = True
+        self.channels: set[Channel] = set()
 
 
-@dataclass
 class HostState:
-    spec: HostSpec
-    alive: bool = True
-    amp_alive: bool = True
-    machines: dict[InstanceId, MachineState] = field(default_factory=dict)
-    installed: set[str] = field(default_factory=set)
+    def __init__(self, spec: HostSpec):
+        self.spec = spec
+        self.alive = True
+        self.amp_alive = True
+        self.machines: dict[InstanceId, MachineState] = {}
+        self.installed: set[str] = set()
 
 
 class Fabric:

@@ -35,7 +35,7 @@ Files use extension .deladas, UTF-8, `//` line comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 KEYWORDS = frozenset([
@@ -82,6 +82,31 @@ class ValidationError(DeladasError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+def _record_eq(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return self.__class__ is not other.__class__ or tuple.__ne__(self, other)
+
+
+def record(cls):
+    """Make a NamedTuple class an immutable value type of the package.
+
+    A record equals only a record of its own type with equal fields, so
+    And(items) != Or(items) and no record equals a plain tuple. Its hash is
+    the tuple hash of its fields. A record must have at least one field: an
+    empty tuple is falsy."""
+    cls.__eq__ = _record_eq
+    cls.__ne__ = _record_ne
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Tokens
 # ---------------------------------------------------------------------------
 
@@ -92,8 +117,8 @@ INTEGER = "integer-literal"
 PUNCT = "punctuation"
 
 
-@dataclass(frozen=True)
-class Token:
+@record
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -169,10 +194,11 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(kind, text, line, start_col))
             continue
 
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as '²'.
+        if ch.isdecimal():
             start_col = col
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
                 col += 1
             tokens.append(Token(INTEGER, source[start:i], line, start_col))
@@ -194,14 +220,14 @@ def tokenize(source: str) -> list[Token]:
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Port:
+@record
+class Port(NamedTuple):
     name: str
     variadic: bool = False
 
 
-@dataclass(frozen=True)
-class ComponentType:
+@record
+class ComponentType(NamedTuple):
     name: str
     code: str
     ports: tuple[Port, ...]
@@ -213,8 +239,8 @@ class ComponentType:
         return None
 
 
-@dataclass(frozen=True)
-class HostSpec:
+@record
+class HostSpec(NamedTuple):
     name: str
     # Ordered (key, value) pairs; validation puts ipaddress first.
     attributes: tuple[tuple[str, str], ...]
@@ -227,81 +253,81 @@ class HostSpec:
         return ""
 
 
-@dataclass(frozen=True)
-class IntLiteral:
+@record
+class IntLiteral(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+@record
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class InstancesOf:
+@record
+class InstancesOf(NamedTuple):
     type_name: str
     host_var: str
 
 
-@dataclass(frozen=True)
-class ConnectedTo:
+@record
+class ConnectedTo(NamedTuple):
     type_name: str
     var: str
     peer_var: str
 
 
-@dataclass(frozen=True)
-class Card:
+@record
+class Card(NamedTuple):
     inner: InstancesOf | ConnectedTo
 
 
 ValueExpr = IntLiteral | Var | Card
 
 
-@dataclass(frozen=True)
-class Binder:
+@record
+class Binder(NamedTuple):
     var: str
     sort: str  # HOST_SORT or a component type name
 
 
-@dataclass(frozen=True)
-class Quantified:
+@record
+class Quantified(NamedTuple):
     kind: str  # "forall" | "exists"
     binders: tuple[Binder, ...]
     body: "ConstraintExpr"
 
 
-@dataclass(frozen=True)
-class And:
+@record
+class And(NamedTuple):
     items: tuple["ConstraintExpr", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+@record
+class Or(NamedTuple):
     items: tuple["ConstraintExpr", ...]
 
 
-@dataclass(frozen=True)
-class Compare:
+@record
+class Compare(NamedTuple):
     op: str
     lhs: ValueExpr
     rhs: ValueExpr
 
 
-@dataclass(frozen=True)
-class PortRef:
+@record
+class PortRef(NamedTuple):
     var: str
     port: str
 
 
-@dataclass(frozen=True)
-class ConnectsTo:
+@record
+class ConnectsTo(NamedTuple):
     src: PortRef
     dst: PortRef
 
 
-@dataclass(frozen=True)
-class Reachable:
+@record
+class Reachable(NamedTuple):
     a: str
     b: str
 
@@ -331,14 +357,14 @@ def free_vars(expr: ConstraintExpr) -> set[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+@record
+class ConstraintSet(NamedTuple):
     name: str
     constraints: tuple[ConstraintExpr, ...]
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+@record
+class SpecDocument(NamedTuple):
     components: tuple[ComponentType, ...] = ()
     hosts: tuple[HostSpec, ...] = ()
     constraintsets: tuple[ConstraintSet, ...] = ()

@@ -25,16 +25,18 @@ containing only "%%". Responses answer "ok" or "error" on line 1.
 
 from __future__ import annotations
 
-import socket
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import ddd, evaluator, fabric as fabric_mod, lang, model, solver
 from .ddd import EnactmentPlan, Install, Instantiate, Wire, action_key
 from .fabric import (AddHost, AmpReport, DuplicateHost, Fabric, HostDown,
                      HostFailureSuspected, Revise)
-from .lang import DeladasError, HostSpec, SpecDocument
+from .lang import DeladasError, HostSpec, SpecDocument, record
 from .model import Binding, Configuration, InstanceId
+
+if TYPE_CHECKING:
+    import socket
 
 
 class UnknownHost(DeladasError):
@@ -49,54 +51,48 @@ class MalformedPayload(DeladasError):
 # Decisions and failures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProcessFailure:
+@record
+class ProcessFailure(NamedTuple):
     instance: InstanceId
     host: str
 
 
-@dataclass(frozen=True)
-class HostFailure:
+@record
+class HostFailure(NamedTuple):
     host: str
 
 
-@dataclass(frozen=True)
-class RestartInPlace:
+@record
+class RestartInPlace(NamedTuple):
     instance: InstanceId
 
 
-@dataclass(frozen=True)
-class Resolve:
+@record
+class Resolve(NamedTuple):
     removed: tuple[Binding, ...]
     config: Configuration
 
 
-@dataclass(frozen=True)
-class ConstraintError:
+@record
+class ConstraintError(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class NoOp:
+@record
+class NoOp(NamedTuple):
     reason: str = ""
 
 
 Decision = RestartInPlace | Resolve | ConstraintError | NoOp
 
 
-def classify_failure(events) -> ProcessFailure | HostFailure | None:
-    """Classify one tick window of observer events.
+def classify_window(events) -> list[ProcessFailure | HostFailure]:
+    """Classify one tick window of observer events, AMP reports first.
 
     An AMP report pins the failure on the process; a failure suspicion with
-    no covering AMP report for that host means the host itself died. Returns
-    None (no-op) when the window carries no failure signal.
+    no covering AMP report for that host means the host itself died. A
+    window with no failure signal classifies as nothing.
     """
-    for classified in classify_window(events):
-        return classified
-    return None
-
-
-def classify_window(events) -> list[ProcessFailure | HostFailure]:
     out: list[ProcessFailure | HostFailure] = []
     reported_hosts = set()
     for event in events:
@@ -197,7 +193,7 @@ class Manager:
     def deploy_initial(self, pins: tuple[Binding, ...] = (),
                        prior: Configuration | None = None) -> Decision:
         """Solve and enact the initial deployment."""
-        opts = replace(self.options, pins=pins, prior=prior, solution_limit=1)
+        opts = self.options._replace(pins=pins, prior=prior, solution_limit=1)
         outcome = solver.solve(self.doc, self.cs_name, opts)
         if not outcome.solutions and not outcome.exhausted:
             return self._record(ConstraintError(
@@ -289,7 +285,8 @@ class Manager:
         pins = [b for b in model.bindings_of(base) if b.host in doc_hosts]
         try:
             config, removed = solver.resolve_with_relaxation(
-                self.doc, self.cs_name, pins, replace(self.options, prior=base))
+                self.doc, self.cs_name, pins,
+                self.options._replace(prior=base))
         except solver.NoSolution:
             return self._record(ConstraintError(unsatisfiable))
         except solver.SearchBudgetExceeded as e:
@@ -353,7 +350,8 @@ class Manager:
                 limit = int(parts[3].strip())
             except ValueError:
                 raise MalformedPayload(f"bad limit {parts[3]!r}") from None
-        opts = replace(self.options, pins=pins, prior=prior, solution_limit=limit)
+        opts = self.options._replace(pins=pins, prior=prior,
+                                     solution_limit=limit)
         outcome = solver.solve(doc, cs_name, opts)
         documents = [ddd.to_xml(config, doc, cs_name).decode()
                      for config in outcome.solutions]
@@ -476,6 +474,7 @@ def serve(manager: Manager, listener: socket.socket) -> None:
 
 def make_listener(spec: str) -> socket.socket:
     """Listen on a TCP port ('8123' or 'host:8123') or a unix socket path."""
+    import socket  # only serving needs it; the other commands start faster
     if spec.isdigit():
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -493,6 +492,7 @@ def make_listener(spec: str) -> socket.socket:
 
 
 def connect(spec: str) -> socket.socket:
+    import socket
     if spec.isdigit():
         return socket.create_connection(("127.0.0.1", int(spec)))
     if spec.count(":") == 1 and spec.rsplit(":", 1)[1].isdigit():

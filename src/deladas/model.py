@@ -8,17 +8,17 @@ equal configurations have identical representations (and serializations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lang import DeladasError, HostSpec, SpecDocument
+from .lang import DeladasError, HostSpec, SpecDocument, record
 
 
 class ModelError(DeladasError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class InstanceId:
+@record
+class InstanceId(NamedTuple):
     """Identity of a deployed component instance: Type@host#ordinal."""
 
     type: str
@@ -40,8 +40,8 @@ class InstanceId:
             raise ModelError(f"malformed instance id {text!r}") from None
 
 
-@dataclass(frozen=True)
-class PortSlot:
+@record
+class PortSlot(NamedTuple):
     """One attachment point: a port of an instance, indexed if variadic."""
 
     instance: InstanceId
@@ -71,8 +71,8 @@ class PortSlot:
         return cls(InstanceId.parse(head), port, index)
 
 
-@dataclass(frozen=True)
-class Channel:
+@record
+class Channel(NamedTuple):
     """Uni-directional channel between two port slots."""
 
     src: PortSlot
@@ -85,14 +85,14 @@ class Channel:
         return (str(self.src), str(self.dst))
 
 
-@dataclass(frozen=True)
-class Instance:
+@record
+class Instance(NamedTuple):
     id: InstanceId
     type: str
 
 
-@dataclass(frozen=True)
-class Binding:
+@record
+class Binding(NamedTuple):
     """A placement fact: `count` instances of `type` on `host`."""
 
     type: str
@@ -103,8 +103,8 @@ class Binding:
         return f"{self.type}@{self.host}x{self.count}"
 
 
-@dataclass(frozen=True)
-class Configuration:
+@record
+class Configuration(NamedTuple):
     hosts: tuple[HostSpec, ...] = ()
     instances: tuple[Instance, ...] = ()
     channels: tuple[Channel, ...] = ()

@@ -75,14 +75,13 @@ import itertools
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import evaluator
 from .lang import (And, Card, Compare, ConnectedTo, ConnectsTo, ConstraintSet,
                    DeladasError, HOST_SORT, InstancesOf, IntLiteral, Or,
                    Quantified, Reachable, SpecDocument, ValidationError, Var,
-                   free_vars)
+                   free_vars, record)
 from .model import (Binding, Channel, Configuration, Instance, InstanceId,
                     PortSlot, binding_sort_key, validate)
 
@@ -108,8 +107,8 @@ class SearchBudgetExceeded(DeladasError):
     is unknown, not unsatisfiable."""
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+@record
+class SolveOptions(NamedTuple):
     max_instances_per_host: int = 1
     max_total_instances: int | None = None  # default: hosts * per-host bound
     solution_limit: int = 1
@@ -119,8 +118,8 @@ class SolveOptions:
     node_budget: int | None = None
 
 
-@dataclass(frozen=True)
-class SolveStats:
+@record
+class SolveStats(NamedTuple):
     """Search effort: placement nodes (host assignments tried), wiring
     nodes (candidate-channel decisions tried) and wall-clock seconds."""
 
@@ -135,8 +134,8 @@ class SolveStats:
         return self.placement_nodes + self.wiring_nodes
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+@record
+class SolveOutcome(NamedTuple):
     """Search result. exhausted is conservative: stopping at the solution
     limit or the node budget reports the space as not fully explored."""
 
@@ -183,7 +182,7 @@ def _check_options(doc: SpecDocument, opts: SolveOptions) -> SolveOptions:
             raise ValidationError(f"pin {pin}: unknown type {pin.type}")
         if pin.count < 1:
             raise ValidationError(f"pin {pin}: count must be >= 1")
-    return replace(opts, max_total_instances=total)
+    return opts._replace(max_total_instances=total)
 
 
 def _pin_floors(pins: tuple[Binding, ...]) -> dict[str, dict[str, int]]:
@@ -973,7 +972,7 @@ def resolve_with_relaxation(doc: SpecDocument, cs_name: str,
             kept = tuple(b for i, b in enumerate(ordered)
                          if i not in removed_set)
             outcome = solve(doc, cs_name,
-                            replace(opts, pins=kept, solution_limit=1))
+                            opts._replace(pins=kept, solution_limit=1))
             if outcome.solutions:
                 return outcome.solutions[0], [ordered[i] for i in removed]
             if not outcome.exhausted:

@@ -232,6 +232,18 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "components: 2" in proc.stdout
 
+    def test_import_loads_no_dataclasses_inspect_or_socket(self):
+        # Each costs start-up time on every command; only serve and its
+        # client need socket, and they import it when called.
+        heavy = ("dataclasses", "inspect", "socket")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; before = set(sys.modules); import deladas.cli; "
+             f"print([m for m in {heavy!r} if m in sys.modules and m not in before])"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_unknown_subcommand_exits_one(self):
         proc = subprocess.run(
             [sys.executable, "-m", "deladas", "explode"],

@@ -72,6 +72,15 @@ class TestFromXml:
         with pytest.raises(XmlError):
             ddd.from_xml(b"<deployment><hosts>")
 
+    @pytest.mark.parametrize("encoding", ["TF-8", "rot13", "zlib", "cp932",
+                                          "utf-32", "utf-7", "idna",
+                                          "punycode"])
+    def test_unusable_encoding_is_an_xml_error(self, encoding):
+        data = GOLDEN.read_bytes().replace(b'encoding="UTF-8"',
+                                           f'encoding="{encoding}"'.encode())
+        with pytest.raises(XmlError, match="encoding"):
+            ddd.parse_ddd(data)
+
     def test_unknown_element(self):
         with pytest.raises(SchemaError):
             ddd.from_xml(b'<?xml version="1.0"?><deployment><bogus/></deployment>')

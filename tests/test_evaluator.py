@@ -259,7 +259,7 @@ def _negate(expr):
 
 def _simple_eval(expr, env, cfg):
     """Small independent evaluator supporting ('not', leaf) nodes."""
-    if isinstance(expr, tuple) and expr[0] == "not":
+    if type(expr) is tuple:  # AST records are tuples too
         return not _simple_eval(expr[1], env, cfg)
     if isinstance(expr, lang.Quantified):
         ranges = []

@@ -46,6 +46,20 @@ class TestTokenize:
         with pytest.raises(LexError):
             lang.tokenize('"oops')
 
+    def test_non_decimal_digit_is_a_lex_error(self):
+        # '²' is a digit to str.isdigit but not a number to int().
+        clause = ("  forall host h in deployment("
+                  "card(instancesof Client in h) = \u00b2)")
+        with pytest.raises(LexError) as err:
+            lang.parse(f"constraintset c = constraintset {{\n{clause}\n}}")
+        assert (err.value.line, err.value.column) == (
+            2, clause.index("\u00b2") + 1)
+
+    def test_decimal_digits_of_any_script_are_integers(self):
+        toks = lang.tokenize("\u0663\u0664 12")
+        assert [(t.kind, int(t.text)) for t in toks] == [
+            ("integer-literal", 34), ("integer-literal", 12)]
+
 
 class TestParseFigures:
     def test_resources_figure(self):

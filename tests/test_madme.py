@@ -9,7 +9,7 @@ from deladas.fabric import AmpReport, CrashHost, CrashProcess, HostFailureSuspec
 from deladas.lang import HostSpec
 from deladas.madme import (ConstraintError, HostFailure, Manager, NoOp,
                            ProcessFailure, Resolve, RestartInPlace,
-                           classify_failure, evolve_resources)
+                           classify_window, evolve_resources)
 from deladas.model import InstanceId
 
 
@@ -27,20 +27,20 @@ def example_manager():
 class TestClassify:
     def test_amp_report_is_process_failure(self):
         events = [AmpReport(10, "h3", InstanceId("Router", "h3", 0))]
-        assert classify_failure(events) == ProcessFailure(
-            InstanceId("Router", "h3", 0), "h3")
+        assert classify_window(events) == [ProcessFailure(
+            InstanceId("Router", "h3", 0), "h3")]
 
     def test_suspicion_is_host_failure(self):
-        assert classify_failure([HostFailureSuspected(23, "h3")]) == \
-            HostFailure("h3")
+        assert classify_window([HostFailureSuspected(23, "h3")]) == [
+            HostFailure("h3")]
 
     def test_empty_window_is_noop(self):
-        assert classify_failure([]) is None
+        assert classify_window([]) == []
 
     def test_amp_report_covers_suspicion_for_same_host(self):
         events = [AmpReport(9, "h3", InstanceId("Router", "h3", 0)),
                   HostFailureSuspected(9, "h3")]
-        assert madme.classify_window(events) == [
+        assert classify_window(events) == [
             ProcessFailure(InstanceId("Router", "h3", 0), "h3")]
 
 
@@ -433,6 +433,23 @@ class TestFraming:
         finally:
             listener.close()
 
+    def test_server_survives_a_non_decimal_digit(self):
+        listener, port = self._start_server()
+        try:
+            sock = madme.connect(port)
+            goal = ("constraintset g = constraintset { forall host h in "
+                    "deployment(card(instancesof Client in h) = \u00b2) }")
+            ok, body = madme.request(sock, "satisfy", madme.join_parts(
+                [goal, helpers.RESOURCES_TEXT]))
+            assert not ok
+            assert body.startswith("LexError") and "'\u00b2'" in body
+            ok, body = madme.request(sock, "get-resources")
+            assert ok
+            assert "component Router" in body
+            sock.close()
+        finally:
+            listener.close()
+
     def test_oversized_frame_is_refused_unread(self):
         """A header just over the limit is answered at once, without
         waiting for its body, and the connection is closed; the server
@@ -452,6 +469,74 @@ class TestFraming:
             sock.close()
         finally:
             listener.close()
+
+
+# What the request fuzz splices into payloads: non-ASCII digits and letters,
+# part separators, Deladas and XML fragments, and encoding declarations.
+FUZZ_FRAGMENTS = (
+    "0", "7", "\u00b2", "\u0663", "\u2167", "\u00bd", "x", "\u00e9", "\u03a9",
+    "\u4e2d", "%%", "\n%%\n", "\n", " ", "(", ")", "{", "}", "[]", "=", "!=",
+    "<=", ".", ",", '"', "//", "forall", "exists", "card", "instancesof",
+    "connectsto", "reachable", "host", "Router", "<", ">", "&", "&amp;", "&#0;",
+    "\x00", "<![CDATA[", "]]>", "<hosts/>", "</deployment>",
+    '<instance id="Router@h3#0"/>',
+    '<channel from="Client@h1#0:out" to="Router@h3#0:cin[9]"/>',
+    '<?xml version="1.0" encoding="', 'encoding="cp932"',
+    'encoding="TF-8"', 'encoding="idna"', 'encoding="utf-16"',
+)
+
+
+def _mutate(rng, text: str) -> str:
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randrange(8))
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice(FUZZ_FRAGMENTS) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[j:]
+        else:
+            text = text[:i] + rng.choice(FUZZ_FRAGMENTS) + text[j:]
+    return text
+
+
+class TestRequestFuzz:
+    """Every satisfy or enact request answers a response frame, whatever
+    its payload: no exception escapes handle_request."""
+
+    DDD = helpers.SAMPLES.joinpath("example-deployment.xml").read_text()
+
+    def _assert_answers(self, manager, method, body):
+        response = manager.handle_request(method, body)
+        assert isinstance(response, bytes)
+        assert response.startswith((b"ok\n", b"error\n")), (method, body)
+
+    def test_mutated_payloads(self):
+        rng = helpers.rng(15)
+        manager = example_manager()
+        for _ in range(4000):  # about 2 s
+            if rng.random() < 0.25:
+                self._assert_answers(manager, "enact", _mutate(rng, self.DDD))
+                continue
+            parts = [helpers.CONSTRAINTS_TEXT, helpers.RESOURCES_TEXT,
+                     rng.choice(("", self.DDD))]
+            for k in rng.sample(range(3), rng.randint(1, 3)):
+                parts[k] = _mutate(rng, parts[k])
+            self._assert_answers(manager, "satisfy", madme.join_parts(parts))
+
+    def test_pinned_faults(self):
+        """Payloads that once escaped handle_request and that random
+        mutation seldom builds: a digit int() rejects, and DDD encodings
+        expat cannot use, as satisfy pins and as enact."""
+        manager = example_manager()
+        digit = helpers.CONSTRAINTS_TEXT.replace("= 1", "= \u00b2", 1)
+        self._assert_answers(manager, "satisfy", madme.join_parts(
+            [digit, helpers.RESOURCES_TEXT]))
+        for encoding in ("TF-8", "cp932", "idna"):
+            data = self.DDD.replace('encoding="UTF-8"', f'encoding="{encoding}"')
+            self._assert_answers(manager, "enact", data)
+            self._assert_answers(manager, "satisfy", madme.join_parts(
+                [helpers.CONSTRAINTS_TEXT, helpers.RESOURCES_TEXT, data]))
 
 
 class TestPartCodec:

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -91,7 +90,7 @@ class TestSolveBasics:
         opts = SolveOptions(solution_limit=30)  # over 16 placement nodes
         full = solve(doc, "randc", opts)
         for budget in range(full.stats.nodes):
-            out = solve(doc, "randc", replace(opts, node_budget=budget))
+            out = solve(doc, "randc", opts._replace(node_budget=budget))
             assert out.stats.nodes == budget + 1 and not out.exhausted
             assert out.solutions == full.solutions[:len(out.solutions)]
 
@@ -624,7 +623,7 @@ def _random_documents(seed: int, count: int):
             yield generators.gen_solver_instance(rng), 1, rng
             continue
         goal = lang.ConstraintSet("goal", doc.constraintsets[0].constraints)
-        yield replace(doc, constraintsets=(goal,)), 1, rng
+        yield doc._replace(constraintsets=(goal,)), 1, rng
 
 
 def _random_placement(rng, doc, per_host):
