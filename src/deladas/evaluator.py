@@ -18,6 +18,7 @@ Semantics notes:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import NamedTuple
 
 from . import lang
@@ -72,18 +73,21 @@ class CheckResult(NamedTuple):
 
 
 class _Context:
-    """Per-check caches over one configuration."""
+    """Per-check caches over one configuration, binder ranges included."""
 
     def __init__(self, config: Configuration, doc: SpecDocument):
-        self.config = config
         self.doc = doc
         self.out_edges: dict[InstanceId, set[InstanceId]] = {}
         self.neighbours: dict[InstanceId, set[InstanceId]] = {}
         self.families: set[tuple[InstanceId, str, InstanceId, str]] = set()
+        self.hosts = [HostBinding(h.name) for h in config.hosts]
+        self.by_type: dict[str, list[InstanceBinding]] = {}
+        self.on_host = Counter((i.id.host, i.type) for i in config.instances)
         self._free: dict[int, set[str]] = {}
         for inst in config.instances:
             self.out_edges[inst.id] = set()
             self.neighbours[inst.id] = set()
+            self.by_type.setdefault(inst.type, []).append(InstanceBinding(inst.id))
         for ch in config.channels:
             u, v = ch.src.instance, ch.dst.instance
             self.out_edges.setdefault(u, set()).add(v)
@@ -95,11 +99,10 @@ class _Context:
         return has_path(self.out_edges, a, b)
 
     def free_in_body(self, expr: Quantified) -> set[str]:
-        """lang.free_vars of the quantifier's body, once per check."""
-        free = self._free.get(id(expr))
-        if free is None:
-            free = self._free[id(expr)] = lang.free_vars(expr.body)
-        return free
+        """lang.free_vars of the quantifier's body, one walk per check."""
+        if id(expr) not in self._free:
+            lang.free_vars(expr, self._free)
+        return self._free[id(expr)]
 
     def connected(self, p: InstanceId, a: str, q: InstanceId, b: str) -> bool:
         return (p, a, q, b) in self.families or (q, b, p, a) in self.families
@@ -123,12 +126,6 @@ def has_path(adj, a, b) -> bool:
     return False
 
 
-def _binder_range(binder: lang.Binder, ctx: _Context):
-    if binder.sort == HOST_SORT:
-        return [HostBinding(h.name) for h in ctx.config.hosts]
-    return [InstanceBinding(i) for i in ctx.config.instances_of(binder.sort)]
-
-
 def _value(expr, env: Environment, ctx: _Context):
     if isinstance(expr, IntLiteral):
         return expr.value
@@ -143,14 +140,14 @@ def _value(expr, env: Environment, ctx: _Context):
             if not isinstance(bound, HostBinding):
                 raise EvalTypeError(
                     f"instancesof needs a host, {inner.host_var} is not one")
-            return len(ctx.config.instances_on(bound.host, inner.type_name))
+            return ctx.on_host[(bound.host, inner.type_name)]
         bound = env.get(inner.peer_var)
         if not isinstance(bound, InstanceBinding):
             raise EvalTypeError(
                 f"connectedto needs an instance, {inner.peer_var} is not one")
         peers = ctx.neighbours.get(bound.instance, set())
-        return sum(1 for i in ctx.config.instances_of(inner.type_name)
-                   if i in peers)
+        return sum(1 for i in ctx.by_type.get(inner.type_name, ())
+                   if i.instance in peers)
     raise EvalTypeError(f"not a value expression: {expr!r}")
 
 
@@ -190,7 +187,8 @@ def _eval(expr, env: Environment, ctx: _Context) -> tuple[bool, Environment]:
         # assignment in canonical order has such a binder at its first value,
         # so the witness is the one the full product would report.
         free = ctx.free_in_body(expr)
-        ranges = [_binder_range(b, ctx) for b in expr.binders]
+        ranges = [ctx.hosts if b.sort == HOST_SORT
+                  else ctx.by_type.get(b.sort, []) for b in expr.binders]
         ranges = [r if b.var in free else r[:1]
                   for b, r in zip(expr.binders, ranges)]
         # A flat product, not a recursive generator closure: such a closure

@@ -78,12 +78,6 @@ class AddHost(NamedTuple):
 
 
 @record
-class Heartbeat(NamedTuple):
-    at: int
-    source: str
-
-
-@record
 class AmpReport(NamedTuple):
     at: int
     host: str
@@ -103,7 +97,7 @@ class Revise(NamedTuple):
     resources_path: str
 
 
-FabricEvent = (CrashProcess | CrashHost | AddHost | Heartbeat | AmpReport
+FabricEvent = (CrashProcess | CrashHost | AddHost | AmpReport
                | HostFailureSuspected | Revise)
 
 
@@ -197,8 +191,7 @@ class Fabric:
         """Advance to the next event tick and process everything due.
 
         Returns the events delivered to observers (AMP reports, failure
-        suspicions, host arrivals, revisions, heartbeats). A no-op on an
-        empty queue.
+        suspicions, host arrivals, revisions). A no-op on an empty queue.
         """
         if not self._queue:
             return []
@@ -255,9 +248,6 @@ class Fabric:
             self.hosts[event.host.name] = HostState(event.host)
             attrs = " ".join(f"{k}={v}" for k, v in event.host.attributes)
             self.log("add-host", event.host.name, attrs)
-            return [event]
-        if isinstance(event, Heartbeat):
-            self.log("heartbeat", event.source)
             return [event]
         if isinstance(event, AmpReport):
             self.log("amp-report", event.host, event.failed_instance)

@@ -335,13 +335,19 @@ class Reachable(NamedTuple):
 ConstraintExpr = Quantified | And | Or | Compare | ConnectsTo | Reachable
 
 
-def free_vars(expr: ConstraintExpr) -> set[str]:
+def free_vars(expr: ConstraintExpr,
+              bodies: dict[int, set[str]] | None = None) -> set[str]:
     """The variables expr reads that no quantifier inside it binds. The
-    counted variable of `card(T v connectedto p)` is bound by the card."""
+    counted variable of `card(T v connectedto p)` is bound by the card.
+    bodies, if given, also gets under id(q) the free variables of the body
+    of every quantifier q in expr, expr included, from the same walk."""
     if isinstance(expr, Quantified):
-        return free_vars(expr.body) - {b.var for b in expr.binders}
+        free = free_vars(expr.body, bodies)
+        if bodies is not None:
+            bodies[id(expr)] = free
+        return free - {b.var for b in expr.binders}
     if isinstance(expr, (And, Or)):
-        return set().union(*map(free_vars, expr.items))
+        return set().union(*(free_vars(item, bodies) for item in expr.items))
     if isinstance(expr, ConnectsTo):
         return {expr.src.var, expr.dst.var}
     if isinstance(expr, Reachable):

@@ -118,24 +118,22 @@ class Configuration(NamedTuple):
         as given (it is the declaration order).
         """
         hosts = tuple(hosts)
-        host_pos = {h.name: i for i, h in enumerate(hosts)}
         insts = sorted(
             (Instance(i.id, i.type) if isinstance(i, Instance) else Instance(*i)
-             for i in instances),
-            key=lambda x: (host_pos.get(x.id.host, len(hosts)),
-                           x.id.type, x.id.ordinal))
+             for i in instances), key=_instance_order(hosts))
         chans = sorted(channels, key=Channel.key)
         return Configuration(hosts, tuple(insts), tuple(chans))
 
     def instance_ids(self) -> list[InstanceId]:
         return [i.id for i in self.instances]
 
-    def instances_of(self, type_name: str) -> list[InstanceId]:
-        return [i.id for i in self.instances if i.type == type_name]
 
-    def instances_on(self, host: str, type_name: str | None = None) -> list[InstanceId]:
-        return [i.id for i in self.instances
-                if i.id.host == host and (type_name is None or i.type == type_name)]
+def _instance_order(hosts: tuple[HostSpec, ...]):
+    """An instance's canonical sort key: host position (unknown hosts
+    last), type name, ordinal."""
+    host_pos = {h.name: i for i, h in enumerate(hosts)}
+    return lambda x: (host_pos.get(x.id.host, len(hosts)), x.id.type,
+                      x.id.ordinal)
 
 
 def empty_on(hosts: tuple[HostSpec, ...]) -> Configuration:
@@ -176,25 +174,28 @@ def validate(config: Configuration, doc: SpecDocument) -> list[str]:
         if sorted(ordinals) != list(range(len(ordinals))):
             out.append(f"instances of {type_} on {host}: ordinals not dense")
 
+    # Each slot is formatted once: a channel's key, its (src, dst) strings,
+    # serves the duplicate, slot-reuse and order checks.
+    keys = [(str(ch.src), str(ch.dst)) for ch in config.channels]
     # Exact duplicate channels are reported once; slot bookkeeping below only
     # runs over distinct channels so a duplicate yields exactly one violation.
     seen_channels: set[tuple[str, str]] = set()
-    distinct: list[Channel] = []
-    for ch in config.channels:
-        if ch.key() in seen_channels:
+    distinct: list[tuple[Channel, tuple[str, str]]] = []
+    for ch, key in zip(config.channels, keys):
+        if key in seen_channels:
             out.append(f"duplicate channel {ch}")
             continue
-        seen_channels.add(ch.key())
-        distinct.append(ch)
+        seen_channels.add(key)
+        distinct.append((ch, key))
 
     slot_uses: dict[str, int] = {}
     family_indices: dict[tuple[InstanceId, str], set[int]] = {}
-    for ch in distinct:
+    for ch, names in distinct:
         if ch.src == ch.dst:
             out.append(f"channel {ch}: src equals dst")
         elif ch.src.instance == ch.dst.instance:
             out.append(f"channel {ch}: connects an instance to itself")
-        for slot in (ch.src, ch.dst):
+        for slot, name in zip((ch.src, ch.dst), names):
             inst = by_id.get(slot.instance)
             if inst is None:
                 out.append(f"channel {ch}: unknown instance {slot.instance}")
@@ -215,7 +216,7 @@ def validate(config: Configuration, doc: SpecDocument) -> list[str]:
             if port.variadic and slot.index is not None:
                 family_indices.setdefault(
                     (slot.instance, slot.port), set()).add(slot.index)
-            slot_uses[str(slot)] = slot_uses.get(str(slot), 0) + 1
+            slot_uses[name] = slot_uses.get(name, 0) + 1
     for slot_str, uses in sorted(slot_uses.items()):
         if uses > 1:
             out.append(f"port slot reused: {slot_str} appears in {uses} channels")
@@ -224,10 +225,12 @@ def validate(config: Configuration, doc: SpecDocument) -> list[str]:
         if indices != set(range(len(indices))):
             out.append(f"variadic indices on {iid}:{port} not dense from 0")
 
-    canonical = Configuration.build(config.hosts, config.instances, config.channels)
-    if canonical.instances != config.instances:
+    # Configuration.build's order: Instance records by _instance_order.
+    order = list(map(_instance_order(config.hosts), config.instances))
+    if (any(type(i) is not Instance for i in config.instances)
+            or any(a > b for a, b in zip(order, order[1:]))):
         out.append("instances not in canonical order")
-    if canonical.channels != config.channels:
+    if any(a > b for a, b in zip(keys, keys[1:])):
         out.append("channels not in canonical order")
     return out
 

@@ -21,8 +21,10 @@ anchored on the host it assigned or on either end of the channel it
 decided, since no other item can have changed (as watched literals and
 propagation events do in SAT and CP solvers). A False item cuts the
 branch; a True one holds in every descendant and is dropped from the
-subtree. For the sample goal every clause but the strongly connected
-router mesh is anchored.
+subtree. All-pairs reachability over one type, `forall T a, b in
+deployment (reachable(a, b))`, is one unanchored item: a strong
+connectivity test on the sure and on the possible edges. For the sample
+goal it is the router mesh, and every other clause is anchored.
 
 Placement assigns hosts, in declaration order, a small multiset of
 instances within bounds. Placement-only clauses (those quantifying over
@@ -323,19 +325,21 @@ def _candidate_edges(placement: _Placement,
 
 class _EdgeSet:
     """A set of candidate edges in the shapes the compiled clauses read:
-    port families, directed adjacency (successor -> number of edges), and
-    per (instance, type) the number of distinct neighbours of that type."""
+    port families, directed adjacency (successor -> number of edges) and
+    its reverse (predecessor -> number of edges), and per (instance, type)
+    the number of distinct neighbours of that type."""
 
     def __init__(self):
         self.families: set[_Edge] = set()
         self.adj: dict[int, dict[int, int]] = {}
+        self.pred: dict[int, dict[int, int]] = {}
         self.degree: dict[tuple[int, str], int] = {}
         self._types: list[str] = []
 
     def reset(self, types: list[str], edges=()) -> None:
         """Hold exactly edges over instances of the given types. The
         containers are emptied in place: compiled clauses hold them."""
-        for part in (self.families, self.adj, self.degree):
+        for part in (self.families, self.adj, self.pred, self.degree):
             part.clear()
         self._types = types
         for edge in edges:
@@ -353,12 +357,12 @@ class _EdgeSet:
         """Several port families can join the same two instances: u and v
         become or stop being neighbours only with the first or last edge
         between them in either direction."""
-        out = self.adj.setdefault(u, {})
+        out, into = self.adj.setdefault(u, {}), self.pred.setdefault(v, {})
         n = out.get(v, 0) + step
         if n:
-            out[v] = n
+            out[v] = into[u] = n
         else:
-            del out[v]
+            del out[v], into[u]
         if n == (1 if step > 0 else 0) and u not in self.adj.get(v, ()):
             degree, types = self.degree, self._types
             for key in ((u, types[v]), (v, types[u])):
@@ -573,7 +577,11 @@ class _Clause(NamedTuple):
 def _compile_clause(expr, view: _View, env: list, placing: bool) -> _Clause:
     """Split a top-level forall on its first binder when the body mentions
     it; the other binders stay a nested forall. env[0] is the slot an
-    unsplit clause's item writes its (unused) value to."""
+    unsplit clause's item writes its (unused) value to. All-pairs
+    reachability over one type is one unsplit item (_strongly_connected)."""
+    sort = _mesh_sort(expr)
+    if sort is not None:
+        return _Clause(_strongly_connected(view, sort), 0, None, False)
     if (isinstance(expr, Quantified) and expr.kind == "forall"
             and expr.binders[0].var in free_vars(expr.body)):
         first, rest = expr.binders[0], expr.binders[1:]
@@ -588,6 +596,53 @@ def _compile_clause(expr, view: _View, env: list, placing: bool) -> _Clause:
         return _Clause(_compile(body, view, {first.var: slot}, env), slot,
                        first.sort, anchored)
     return _Clause(_compile(expr, view, {}, env), 0, None, False)
+
+
+def _mesh_sort(expr) -> str | None:
+    """T when expr is `forall T a, b in deployment (reachable(a, b))`, with
+    the operands in either order; None for any other clause."""
+    if (isinstance(expr, Quantified) and expr.kind == "forall"
+            and len(expr.binders) == 2 and isinstance(expr.body, Reachable)):
+        a, b = expr.binders
+        if (a.sort == b.sort != HOST_SORT and a.var != b.var
+                and {expr.body.a, expr.body.b} == {a.var, b.var}):
+            return a.sort
+    return None
+
+
+def _strongly_connected(view: _View, sort: str):
+    """`forall T a, b (reachable(a, b))` as one closure. reachable is
+    reflexive and a path may pass through any instance, so the clause holds
+    exactly when every T instance lies in one strongly connected component
+    of the channel graph: when a search forward and one backward from the
+    first T instance reach every T instance (Tarjan, SIAM J. Comput. 1972).
+    True on the sure edges, else None on the possible edges, else False:
+    the values of the conjunction of reachable over every pair."""
+    members = view.members.setdefault(sort, [])
+    sure, possible = view.sure, view.possible
+
+    def strongly_connected():
+        if len(members) < 2:
+            return True
+        if _spans(sure.adj, members) and _spans(sure.pred, members):
+            return True
+        if _spans(possible.adj, members) and _spans(possible.pred, members):
+            return None
+        return False
+    return strongly_connected
+
+
+def _spans(adj: dict[int, dict[int, int]], members: list[int]) -> bool:
+    """Whether a search along adj from the first member reaches them all."""
+    start = members[0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adj.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen.issuperset(members)
 
 
 def _anchored(expr, x: str, placing: bool) -> bool:

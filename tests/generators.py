@@ -1,13 +1,15 @@
 """Seeded random generators for property tests.
 
-Everything takes an explicit random.Random so test runs are reproducible;
-generated artifacts are valid by construction (the properties under test are
-round trips and solver/evaluator agreement, not validation rejection).
+Everything takes an explicit random.Random so test runs are reproducible.
+Generated artifacts are valid by construction (the properties under test are
+round trips and solver/evaluator agreement), except what
+break_configuration returns, which pins the problems validation reports.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from deladas import lang
 from deladas.lang import (And, Binder, Card, Compare, ComponentType,
@@ -288,3 +290,83 @@ def gen_bound_instance(rng: random.Random):
                     for i in range(hosts))
     text += "constraintset goal = constraintset {\n" + "\n".join(clauses) + "\n}\n"
     return lang.parse(text), 2 if hosts == 2 and rng.random() < 0.5 else 1
+
+
+# ---------------------------------------------------------------------------
+# Broken configurations
+# ---------------------------------------------------------------------------
+
+# A tuple with an Instance's fields that is not an Instance record.
+PlainInstance = namedtuple("PlainInstance", "id type")
+
+BREAKS = ("duplicate channel", "unknown host", "unknown type",
+          "sparse ordinals", "slot reuse", "self channel",
+          "sparse variadic indices", "reversed instances",
+          "reversed channels", "plain-tuple instances", "type mismatch",
+          "duplicate instance", "duplicate host", "unknown port",
+          "unknown instance", "index on a fixed port", "missing index")
+
+
+def break_configuration(rng: random.Random, cfg: Configuration,
+                        doc: SpecDocument, how: str) -> Configuration:
+    """cfg broken in the given way of BREAKS, or cfg itself when it has
+    nothing to break that way. The result need not be in canonical order."""
+    hosts, insts, chans = cfg.hosts, list(cfg.instances), list(cfg.channels)
+    inst = rng.choice(insts) if insts else None
+    chan = rng.choice(chans) if chans else None
+    type_ = doc.components[0].name if doc.components else "Alpha"
+    if how == "duplicate channel" and chan:
+        chans.append(chan)
+    elif how == "unknown host":
+        insts.append(Instance(InstanceId(type_, "nowhere", 0), type_))
+    elif how == "unknown type" and hosts:
+        insts.append(Instance(InstanceId("Nope", hosts[0].name, 0), "Nope"))
+    elif how == "sparse ordinals" and inst:
+        insts.remove(inst)
+        insts.append(Instance(inst.id._replace(ordinal=inst.id.ordinal + 2),
+                              inst.type))
+    elif how == "slot reuse" and len(chans) >= 2:
+        other = rng.choice(chans)
+        chans.append(Channel(chan.src, other.dst if other != chan
+                             else PortSlot(chan.dst.instance, "x")))
+    elif how == "self channel" and chan:
+        chans.append(Channel(chan.src, chan.src) if rng.random() < 0.5
+                     else Channel(chan.src, chan.dst._replace(
+                         instance=chan.src.instance)))
+    elif how == "sparse variadic indices" and chan:
+        slot = chan.src if chan.src.index is not None else chan.dst
+        if slot.index is not None:
+            chans.remove(chan)
+            bumped = slot._replace(index=slot.index + 3)
+            chans.append(Channel(bumped, chan.dst) if slot is chan.src
+                         else Channel(chan.src, bumped))
+    elif how == "reversed instances":
+        return Configuration(hosts, tuple(reversed(insts)), cfg.channels)
+    elif how == "reversed channels":
+        return Configuration(hosts, cfg.instances, tuple(reversed(chans)))
+    elif how == "plain-tuple instances" and inst:
+        return Configuration(hosts, tuple(
+            PlainInstance(*i) if i is inst or rng.random() < 0.3 else i
+            for i in insts), cfg.channels)
+    elif how == "type mismatch" and inst:
+        insts[insts.index(inst)] = Instance(inst.id, "Other")
+    elif how == "duplicate instance" and inst:
+        insts.append(inst)
+    elif how == "duplicate host" and hosts:
+        hosts = hosts + (hosts[0],)
+    elif how == "unknown port" and inst and insts:
+        peer = rng.choice(insts)
+        chans.append(Channel(PortSlot(inst.id, "nosuch"),
+                             PortSlot(peer.id, "nosuch", 0)))
+    elif how == "unknown instance" and chan:
+        ghost = chan.src.instance._replace(ordinal=9)
+        chans.append(Channel(chan.src._replace(instance=ghost), chan.dst))
+    elif how == "index on a fixed port" and chan:
+        chans.remove(chan)
+        chans.append(Channel(chan.src._replace(index=chan.src.index or 0),
+                             chan.dst._replace(index=chan.dst.index or 0)))
+    elif how == "missing index" and chan:
+        chans.remove(chan)
+        chans.append(Channel(chan.src._replace(index=None),
+                             chan.dst._replace(index=None)))
+    return Configuration.build(hosts, insts, chans)

@@ -1,9 +1,11 @@
+from collections import namedtuple
+
 import pytest
 
 import helpers
 from deladas import ddd, model
 from deladas.fabric import (AddHost, AmpReport, CrashHost, CrashProcess,
-                            DuplicateHost, Heartbeat, HostDown,
+                            DuplicateHost, FabricError, HostDown,
                             HostFailureSuspected, PastEvent, Revise,
                             ScenarioError, UnknownInstance, boot,
                             parse_scenario)
@@ -131,10 +133,12 @@ class TestEvents:
         assert fab.step() == []
         assert fab.hosts["h3"].spec.ipaddress == "192.168.0.3"
 
-    def test_heartbeat_passthrough(self):
+    def test_unknown_event_is_rejected(self):
+        """Heartbeats were such an event once: nothing produced them."""
         _, fab = deployed_fabric()
-        fab.inject(Heartbeat(4, "amp:h1"))
-        assert fab.step() == [Heartbeat(4, "amp:h1")]
+        fab.inject(namedtuple("Heartbeat", "at source")(4, "amp:h1"))
+        with pytest.raises(FabricError, match="unknown event"):
+            fab.step()
 
     def test_crash_on_dead_target_is_ignored(self):
         _, fab = deployed_fabric()

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 import generators
@@ -141,6 +144,38 @@ class TestValidate:
             assert (model.validate(cfg, doc) == []) == _naive_valid(cfg, doc)
             agreements += 1
         assert agreements == 150
+
+    # Digest of every problem list below, recorded before validate formatted
+    # each slot once and checked canonical order on adjacent sort keys.
+    PROBLEMS_DIGEST = "501b09dd89421263"
+
+    PROBLEM_KINDS = (
+        "duplicate host", "duplicate instance", "does not match id",
+        "unknown host", "unknown component type", "ordinals not dense",
+        "duplicate channel", "src equals dst", "connects an instance to itself",
+        "unknown instance", "unknown port", "needs an index", "is not variadic",
+        "port slot reused", "not dense from 0",
+        "instances not in canonical order", "channels not in canonical order")
+
+    def test_problem_lists_are_pinned(self):
+        """Whole problem lists, in order, on generator configurations
+        broken in one to three ways each."""
+        rng = helpers.rng(131)
+        docs = [helpers.merged_doc()] + [generators.gen_document(rng)
+                                         for _ in range(20)]
+        lines, seen = [], Counter()
+        for n in range(600):
+            doc = docs[n % len(docs)]
+            cfg = generators.gen_configuration(rng, doc)
+            for how in rng.sample(generators.BREAKS, rng.randint(1, 3)):
+                cfg = generators.break_configuration(rng, cfg, doc, how)
+            problems = model.validate(cfg, doc)
+            lines.append(repr(problems))
+            seen.update(kind for kind in self.PROBLEM_KINDS
+                        if any(kind in p for p in problems))
+        assert min(seen[kind] for kind in self.PROBLEM_KINDS) >= 5
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert digest == self.PROBLEMS_DIGEST
 
     @staticmethod
     def _maybe_break(rng, cfg):
