@@ -249,9 +249,6 @@ class Fabric:
             attrs = " ".join(f"{k}={v}" for k, v in event.host.attributes)
             self.log("add-host", event.host.name, attrs)
             return [event]
-        if isinstance(event, AmpReport):
-            self.log("amp-report", event.host, event.failed_instance)
-            return [event]
         if isinstance(event, Revise):
             self.log("revise", f"constraints={event.constraints_path}",
                      f"resources={event.resources_path}")

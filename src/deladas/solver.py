@@ -23,8 +23,9 @@ propagation events do in SAT and CP solvers). A False item cuts the
 branch; a True one holds in every descendant and is dropped from the
 subtree. All-pairs reachability over one type, `forall T a, b in
 deployment (reachable(a, b))`, is one unanchored item: a strong
-connectivity test on the sure and on the possible edges. For the sample
-goal it is the router mesh, and every other clause is anchored.
+connectivity test on the sure and on the possible edges, or only on the
+side that the node's include or exclude changed. For the sample goal it is
+the router mesh, and every other clause is anchored.
 
 Placement assigns hosts, in declaration order, a small multiset of
 instances within bounds. Placement-only clauses (those quantifying over
@@ -34,7 +35,10 @@ max_instances_per_host]. Clauses that mention instances or channels wait
 for the wiring phase, but placement also checks the bounds |X| <= k * |Y|
 that cardinality_bounds derives from them (every X needs a Y neighbour,
 every Y takes at most k X neighbours): a branch whose fewest X exceed k
-times its most Y is cut.
+times its most Y is cut. resolve_with_relaxation asks the same question
+(_shortfalls) of each pin-removal subset before solving it, with the kept
+pins as floors and the room they leave on each host as the most Y, and
+skips the subsets, and whole removal sizes, that it refutes.
 
 Wiring then decides, for every candidate channel, whether it is present.
 Candidate channels are the instantiations of the `connectsto` patterns
@@ -286,6 +290,34 @@ def cardinality_bounds(cs: ConstraintSet) -> list[tuple[str, str, int]]:
             if (x, y) in caps and x != y and HOST_SORT not in (x, y)]
 
 
+def _shortfalls(bounds: list[tuple[str, str, int]],
+                fewest: Callable[[str], int],
+                most: Callable[[str], int]) -> list[int]:
+    """Per bound (X, Y, k), fewest(X) - k * most(Y): the fewest X possible
+    minus k times the most Y possible. A positive shortfall breaks the
+    bound in every completion."""
+    return [fewest(x) - k * most(y) for x, y, k in bounds]
+
+
+def _pin_shortfalls(bounds: list[tuple[str, str, int]],
+                    pins: tuple[Binding, ...], hosts: int,
+                    per_host: int) -> list[int]:
+    """_shortfalls of every placement that keeps pins, on declared hosts,
+    as floors: the fewest t are the pinned t, and the most t add to them
+    the room that per_host leaves beside the floors of each host."""
+    if not bounds:
+        return []
+    fewest: dict[str, int] = {}
+    floors = _pin_floors(pins)
+    room = per_host * (hosts - len(floors))
+    for per_type in floors.values():
+        room += max(0, per_host - sum(per_type.values()))
+        for type_name, n in per_type.items():
+            fewest[type_name] = fewest.get(type_name, 0) + n
+    return _shortfalls(bounds, lambda t: fewest.get(t, 0),
+                       lambda t: fewest.get(t, 0) + room)
+
+
 class _Budget(Exception):
     pass
 
@@ -376,7 +408,9 @@ class _View:
     numbers. lo[t][h] and hi[t][h] bound the number of t instances on host
     h (an unplaced host reads [pin floor, per-host bound]); members[t] lists
     the instances of type t; sure holds the included edges and possible
-    those not yet excluded (both empty while placing)."""
+    those not yet excluded (both empty while placing). move is the wiring
+    decision that led to the node being evaluated: True for an include, False
+    for an exclude, None at a wiring root."""
 
     def __init__(self, doc: SpecDocument, floors: dict[str, dict[str, int]],
                  per_host: int):
@@ -389,6 +423,7 @@ class _View:
         self.members: dict[str, list[int]] = {}
         self.sure = _EdgeSet()
         self.possible = _EdgeSet()
+        self.move: bool | None = None
 
     def counts(self, type_name: str) -> tuple[list[int], list[int]]:
         """lo and hi of a type; an undeclared type has no instance anywhere."""
@@ -405,6 +440,7 @@ class _View:
             members[:] = placement.by_type.get(type_name, ())
         self.sure.reset(placement.types)
         self.possible.reset(placement.types, candidates)
+        self.move = None
 
 
 # (lo1, hi1, lo2, hi2) -> True when lhs op rhs holds for every pair of values
@@ -617,16 +653,24 @@ def _strongly_connected(view: _View, sort: str):
     of the channel graph: when a search forward and one backward from the
     first T instance reach every T instance (Tarjan, SIAM J. Comput. 1972).
     True on the sure edges, else None on the possible edges, else False:
-    the values of the conjunction of reachable over every pair."""
+    the values of the conjunction of reachable over every pair.
+
+    Below a wiring root the item is evaluated only while open (the possible
+    edges span, the sure ones do not), and a move changes one side: after an
+    include only the sure edges are tested, after an exclude only the
+    possible ones (Dooms, Deville & Dupont, "CP(Graph)", CP 2005)."""
     members = view.members.setdefault(sort, [])
     sure, possible = view.sure, view.possible
 
     def strongly_connected():
         if len(members) < 2:
             return True
-        if _spans(sure.adj, members) and _spans(sure.pred, members):
+        move = view.move
+        if (move is not False and _spans(sure.adj, members)
+                and _spans(sure.pred, members)):
             return True
-        if _spans(possible.adj, members) and _spans(possible.pred, members):
+        if move or (_spans(possible.adj, members)
+                    and _spans(possible.pred, members)):
             return None
         return False
     return strongly_connected
@@ -780,6 +824,9 @@ class _Search:
         budget = self.opts.node_budget
         if budget is None:
             budget = sys.maxsize
+        counts = view.counts
+        lo_sum = lambda t: sum(counts(t)[0])
+        hi_sum = lambda t: sum(counts(t)[1])
         i = 0
         while True:
             k = tried[i]
@@ -820,7 +867,7 @@ class _Search:
                 fresh.append((g, keep))
             if cut:
                 continue
-            if self._starved():
+            if any(d > 0 for d in _shortfalls(self.bounds, lo_sum, hi_sum)):
                 self.bound_cuts += 1
                 continue
             saved[i] = [(g, groups[g]) for g, _ in fresh]
@@ -838,13 +885,6 @@ class _Search:
                 return False
             for g, items in saved[i]:
                 groups[g] = items
-
-    def _starved(self) -> bool:
-        """True when some derived bound |X| <= k * |Y| fails in every
-        completion: the fewest X possible exceed k times the most Y."""
-        counts = self.view.counts
-        return any(sum(counts(x)[0]) > k * sum(counts(y)[1])
-                   for x, y, k in self.bounds)
 
     def _wire(self, placement: _Placement, carried: list[tuple]) -> bool:
         """Decide every candidate channel of a placement, include or exclude,
@@ -953,8 +993,10 @@ class _Search:
                             sure.add(edge)
                             used_fixed.update(fixed[i])
                             chosen.append(edge)
+                            view.move = True
                         else:
                             possible.remove(edge)
+                            view.move = False
                         i += 1
                         break
                     if i == 0:
@@ -1018,22 +1060,47 @@ def resolve_with_relaxation(doc: SpecDocument, cs_name: str,
     SearchBudgetExceeded when a solve runs out of node budget before
     deciding, since dropping more pins past an unknown answer could drop
     pins that a solution keeps.
+
+    Pins are floors on counts, so a subset whose kept pins already break a
+    derived bound |X| <= k * |Y| (fewest X > k * most Y, the most Y being
+    what per-host room leaves beside the other floors) is skipped without a
+    solve. So is a whole depth when removing its largest possible gains
+    (each pin's count fewer X, or k times its count more room for Y) cannot
+    close the all-pins shortfall. A skipped subset is unsatisfiable by
+    proof, not unknown, so no node budget applies to it. The first subset
+    that works, and its solve, are those of the plain loop, and bad pins
+    and options raise before any subset is skipped.
     """
     opts = opts or SolveOptions()
-    ordered = sorted(pins, key=lambda b: binding_sort_key(b, doc))
-    for k in range(len(ordered) + 1):
-        for removed in itertools.combinations(range(len(ordered)), k):
+    ordered = tuple(sorted(pins, key=lambda b: binding_sort_key(b, doc)))
+    cs = doc.constraintset(cs_name)
+    bounds = cardinality_bounds(cs) if cs is not None else []
+    hosts, per_host = len(doc.hosts), opts.max_instances_per_host
+    shortfalls = _pin_shortfalls(bounds, ordered, hosts, per_host)
+    if any(d > 0 for d in shortfalls):
+        # Bad pins or options make the all-pins solve raise. That solve is
+        # skipped here, so check them before anything else is.
+        _check_options(doc, opts._replace(pins=ordered, solution_limit=1))
+    gains = [sorted((p.count * ((p.type == x) + k * (p.type != y))
+                     for p in ordered), reverse=True) for x, y, k in bounds]
+    for size in range(len(ordered) + 1):
+        if any(d > sum(g[:size]) for d, g in zip(shortfalls, gains)):
+            continue
+        for removed in itertools.combinations(range(len(ordered)), size):
             removed_set = set(removed)
             kept = tuple(b for i, b in enumerate(ordered)
                          if i not in removed_set)
+            if size and any(d > 0 for d in _pin_shortfalls(
+                    bounds, kept, hosts, per_host)):
+                continue
             outcome = solve(doc, cs_name,
                             opts._replace(pins=kept, solution_limit=1))
             if outcome.solutions:
                 return outcome.solutions[0], [ordered[i] for i in removed]
             if not outcome.exhausted:
                 raise SearchBudgetExceeded(
-                    f"node budget of {opts.node_budget} ran out with {k} of "
-                    f"{len(ordered)} pins removed; satisfiability of "
+                    f"node budget of {opts.node_budget} ran out with {size} "
+                    f"of {len(ordered)} pins removed; satisfiability of "
                     f"{cs_name} unknown")
     raise NoSolution(
         f"no configuration satisfies {cs_name} even with all pins removed")

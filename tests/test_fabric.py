@@ -140,6 +140,14 @@ class TestEvents:
         with pytest.raises(FabricError, match="unknown event"):
             fab.step()
 
+    def test_an_injected_amp_report_is_rejected(self):
+        """AMP reports come out of the fabric when a process crashes; the
+        scenario language cannot put one in."""
+        _, fab = deployed_fabric()
+        fab.inject(AmpReport(4, "h3", InstanceId("Router", "h3", 0)))
+        with pytest.raises(FabricError, match="unknown event"):
+            fab.step()
+
     def test_crash_on_dead_target_is_ignored(self):
         _, fab = deployed_fabric()
         fab.inject(CrashHost(5, "h3"))

@@ -9,6 +9,7 @@ import pytest
 import generators
 import helpers
 from deladas import ddd, evaluator, lang, model, solver
+from deladas.lang import DeladasError
 from deladas.model import Binding
 from deladas.solver import (BoundsError, NoSolution, SearchBudgetExceeded,
                             SolveOptions, SpaceTooLarge, UnknownConstraintSet,
@@ -301,23 +302,134 @@ class TestRelaxation:
 
     def test_budget_hit_is_unknown_not_unsatisfiable(self):
         """With a node budget too small to decide even the all-pins solve,
-        relaxation must not go on to drop pins."""
-        doc = helpers.merged_doc()
-        example = helpers.example_configuration()
-        doc5 = lang.SpecDocument(
-            doc.components,
-            tuple(h for h in doc.hosts if h.name != "h3"),
-            doc.constraintsets)
-        surviving = model.restrict_to_hosts(example, {h.name for h in doc5.hosts})
+        relaxation must not go on to drop pins. Here the derived bound
+        cannot refute that solve (two clients, one router), but the lone
+        router has no router to pair with, so only a search finds it
+        unsatisfiable."""
+        doc = helpers.three_host_doc()
+        pins = [Binding("Client", "h1", 1), Binding("Client", "h2", 1),
+                Binding("Router", "h3", 1)]
+        bounds = solver.cardinality_bounds(doc.constraintset("randc"))
+        assert solver._pin_shortfalls(bounds, tuple(pins), 3, 1) == [0]
+        full = solve(doc, "randc", SolveOptions(pins=tuple(pins)))
+        assert full.solutions == () and full.stats.nodes > 3
         with pytest.raises(SearchBudgetExceeded, match="unknown"):
-            resolve_with_relaxation(
-                doc5, "randc", model.bindings_of(surviving),
-                SolveOptions(prior=surviving, node_budget=5))
+            resolve_with_relaxation(doc, "randc", pins,
+                                    SolveOptions(node_budget=3))
+        _, removed = resolve_with_relaxation(doc, "randc", pins)
+        assert [str(b) for b in removed] == ["Client@h1x1"]
+
+    def test_a_refuted_subset_is_passed_under_a_small_budget(self):
+        """Sixteen hosts, routers declared first, eleven clients pinned on
+        h6-h16: at most five routers fit, so the bound refutes the all-pins
+        subset. A search needs more than 300 nodes to prove that, and the
+        answer, which drops the first pin, fewer; a loop that solved the
+        refuted subset would stop there with an unknown."""
+        doc = helpers.randc_doc(16)
+        doc = doc._replace(components=doc.components[::-1])
+        pins = [Binding("Client", f"h{i}", 1) for i in range(6, 17)]
+        opts = SolveOptions(node_budget=300)
+        refuted = solve(doc, "randc", SolveOptions(pins=tuple(pins)))
+        assert refuted.solutions == () and refuted.stats.nodes > 300
+        config, removed = resolve_with_relaxation(doc, "randc", pins, opts)
+        assert [str(b) for b in removed] == ["Client@h6x1"]
+        assert solve(doc, "randc", opts._replace(
+            pins=tuple(pins[1:]))).solutions == (config,)
+
+    @pytest.mark.parametrize("first, bad", [
+        (2, Binding("Router", "h9", 1)),  # an unknown host, sorted last
+        (3, Binding("Aardvark", "h1", 5)),  # an unknown type, sorted first
+    ])
+    def test_a_bad_pin_raises_when_the_bounds_refute_every_pin(self, first,
+                                                               bad):
+        """Pins are checked before any subset is skipped, so a bad pin
+        raises as the first solve would. Clients on h2-h6 leave one host
+        for routers, so the bound refutes the all-pins subset. Clients on
+        h3-h6 leave two, but the unknown type's floor fills h1: the bound
+        refutes the all-pins subset only while that pin is kept, so a loop
+        that checked pins only when solving would drop it unseen."""
+        doc = helpers.randc_doc(6)
+        pins = [Binding("Client", f"h{i}", 1) for i in range(first, 7)]
+        pins.append(bad)
+        bounds = solver.cardinality_bounds(doc.constraintset("randc"))
+        assert max(solver._pin_shortfalls(bounds, tuple(pins), 6, 1)) > 0
+        with pytest.raises(lang.ValidationError, match="unknown"):
+            resolve_with_relaxation(doc, "randc", pins)
 
     def test_unsatisfiable_raises_no_solution(self):
         doc = lang.parse(CONTRADICTION)
         with pytest.raises(NoSolution):
             resolve_with_relaxation(doc, "goal", [])
+
+    def test_the_bound_skip_matches_the_plain_loop(self, monkeypatch):
+        """Seeded instances, random pins: the result, or the type of the
+        exception, is that of the plain loop, which solves every subset in
+        order. Generator goals (with and without derived bounds), and randc
+        with router caps 1 and 2, per-host bounds 1 and 2 and mostly client
+        pins, so that many subsets break the bound."""
+        solves = []
+        monkeypatch.setattr(solver, "solve",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        rng = helpers.rng(61)
+        skipped = 0
+        for n in range(160):
+            per_host, goal = 1, "goal"
+            if n % 4 == 0:
+                doc = generators.gen_solver_instance(rng)
+            elif n % 4 == 1:
+                doc, per_host = generators.gen_bound_instance(rng)
+            else:
+                per_host, goal = rng.choice((1, 2)), "randc"
+                text = helpers.CONSTRAINTS_TEXT.replace(
+                    "<= 2", f"<= {rng.choice((1, 2))}")
+                doc = helpers.randc_doc(rng.randint(3, 6 // per_host))._replace(
+                    constraintsets=lang.parse(text).constraintsets)
+            types = [c.name for c in doc.components]
+            pins = [Binding(rng.choice(types[:1] * 2 + types), h.name,
+                            rng.randint(1, per_host))
+                    for h in rng.sample(doc.hosts, rng.randint(1, len(doc.hosts)))]
+            if rng.random() < 0.05:
+                pins.append(Binding(types[0], "nowhere", 1))
+            opts = SolveOptions(max_instances_per_host=per_host)
+            del solves[:]
+            try:
+                want = _plain_relaxation(doc, goal, pins, opts)
+            except DeladasError as e:
+                want = type(e)
+            plain = len(solves)
+            del solves[:]
+            try:
+                got = resolve_with_relaxation(doc, goal, pins, opts)
+            except DeladasError as e:
+                got = type(e)
+            assert got == want, (n, pins)
+            skipped += len(solves) < plain
+        assert skipped >= 12
+
+    def test_cap_one_revisions_take_one_solve(self, monkeypatch):
+        """The sweep: randc's first solution at 8-20 hosts, every binding
+        pinned, revised to at most one client per router. The bound skip
+        passes over every refuted size and subset, so one solve finds the
+        lexicographically first removal set the plain loop finds after
+        C(P, k) solves."""
+        text = helpers.CONSTRAINTS_TEXT.replace("<= 2", "<= 1")
+        revised = lang.parse(text).constraintsets
+        solves = []
+        monkeypatch.setattr(solver, "solve",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        for hosts, dropped in ((8, 1), (12, 2), (16, 2), (20, 3)):
+            doc = helpers.randc_doc(hosts)
+            first = solve(doc, "randc").solutions[0]
+            doc = doc._replace(constraintsets=revised)
+            del solves[:]
+            config, removed = resolve_with_relaxation(
+                doc, "randc", model.bindings_of(first),
+                SolveOptions(prior=first))
+            assert len(solves) == 1
+            assert [str(b) for b in removed] == [
+                f"Client@h{i}x1" for i in range(1, dropped + 1)]
+            assert evaluator.check(config, doc.constraintset("randc"),
+                                   doc).satisfied
 
     def test_pin_dominance_against_oracle(self):
         """Relaxation never removes k pins when fewer removals would admit a
@@ -354,6 +466,22 @@ class TestRelaxation:
                     assert not dominated(combo), (pins, k, combo)
             examined += 1
         assert examined >= 10
+
+
+def _plain_relaxation(doc, cs_name, pins, opts):
+    """The relaxation loop without the bound skip: every removal subset is
+    solved, by size and then in lexicographic order."""
+    ordered = sorted(pins, key=lambda b: model.binding_sort_key(b, doc))
+    for k in range(len(ordered) + 1):
+        for removed in itertools.combinations(range(len(ordered)), k):
+            kept = tuple(b for i, b in enumerate(ordered) if i not in removed)
+            outcome = solver.solve(doc, cs_name,
+                                   opts._replace(pins=kept, solution_limit=1))
+            if outcome.solutions:
+                return outcome.solutions[0], [ordered[i] for i in removed]
+            if not outcome.exhausted:
+                raise SearchBudgetExceeded(cs_name)
+    raise NoSolution(cs_name)
 
 
 ROUTER_RING = """
@@ -648,7 +776,8 @@ class TestStrongConnectivity:
     """`forall T a, b in deployment ( reachable(a, b) )` is one item: every
     T instance in one strongly connected component of the sure edges (True)
     or of the possible edges (None), else False. It must take the values
-    of the per-pair items it replaces on every partial wiring state."""
+    of the per-pair items it replaces on every partial wiring state, also
+    when it tests only the side that an include or exclude changed."""
 
     @pytest.mark.parametrize("body", ["reachable(b1, b2)", "reachable(b2, b1)"])
     def test_random_moves_match_the_per_pair_items(self, body):
@@ -656,7 +785,7 @@ class TestStrongConnectivity:
         view, mesh = search.view, search.clauses[-1]
         assert (mesh.sort, mesh.anchored) == (None, False)
         rng = helpers.rng(101)
-        sizes, values = Counter(), Counter()
+        sizes, values, sided = Counter(), Counter(), Counter()
         for n in range(120):
             # n % 5 B instances over the hosts, and an A on some hosts.
             b_hosts = rng.sample(range(5), n % 5)
@@ -670,6 +799,7 @@ class TestStrongConnectivity:
             status = [0] * len(candidates)
             moves = rng.sample(range(len(candidates)), len(candidates))
             exclude = rng.random()
+            got = None
             for i in [None] + moves:
                 if i is not None:
                     roll = rng.random()
@@ -677,6 +807,11 @@ class TestStrongConnectivity:
                     _set_status((view.sure, view.possible), candidates[i],
                                 status[i], new)
                     status[i] = new
+                    if got is None and new:  # as _wire evaluates it
+                        view.move = new == 1
+                        assert mesh.body() is _pairwise(view, members)
+                        view.move = None
+                        sided[new] += 1
                 got = mesh.body()
                 assert got is _pairwise(view, members)
                 sizes[min(len(members), 3)] += 1
@@ -688,6 +823,7 @@ class TestStrongConnectivity:
                 assert mesh.body() is _pairwise(view, members)
         assert min(sizes[n] for n in range(4)) >= 20
         assert min(values[v] for v in (True, None, False)) >= 100
+        assert min(sided.values()) >= 100 and len(sided) == 2
 
     @pytest.mark.parametrize("clause, sort", [
         ("forall B b1, b2, b3 in deployment ( reachable(b1, b2) )", "B"),
