@@ -285,13 +285,15 @@ def from_xml(data: bytes, doc: SpecDocument | None = None) -> Configuration:
 # Diff and apply
 # ---------------------------------------------------------------------------
 
-def diff(old: Configuration, new: Configuration,
-         doc: SpecDocument) -> EnactmentPlan:
+def diff(old: Configuration, new: Configuration, doc: SpecDocument,
+         installed: frozenset[tuple[str, str]] | None = None) -> EnactmentPlan:
     """Minimal ordered plan transforming old into new.
 
     Instances are identical iff their (type, host, ordinal) ids match;
     channels are identical iff both slots match exactly. Install is emitted
-    once per (host, code) pair not already present in old.
+    once per (host, code) pair not already present: not in `installed` when
+    it is given (what a fabric has installed), else run by no instance of
+    old. Only old's and new's instances and channels are read, in any order.
     """
     old_ids = {i.id for i in old.instances}
     new_ids = {i.id for i in new.instances}
@@ -304,16 +306,16 @@ def diff(old: Configuration, new: Configuration,
     for iid in old_ids - new_ids:
         actions.append(Terminate(iid))
 
-    installed = set()
-    for iid in old_ids:
-        ctype = doc.component(iid.type)
-        if ctype is not None:
-            installed.add((iid.host, ctype.code))
+    if installed is None:
+        present = {(iid.host, ctype.code) for iid in old_ids
+                   if (ctype := doc.component(iid.type)) is not None}
+    else:
+        present = set(installed)
     for iid in sorted(new_ids - old_ids, key=str):
         ctype = doc.component(iid.type)
         code = ctype.code if ctype else ""
-        if (iid.host, code) not in installed:
-            installed.add((iid.host, code))
+        if (iid.host, code) not in present:
+            present.add((iid.host, code))
             actions.append(Install(iid, code, iid.host))
         actions.append(Instantiate(iid))
     for ch in new_channels - old_channels:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .ddd import EnactmentPlan, Install, Instantiate, Terminate, Unwire, Wire
 from .lang import DeladasError, HostSpec, record
-from .model import Channel, InstanceId
+from .model import Channel, Configuration, Instance, InstanceId
 
 DEFAULT_HEARTBEAT_TIMEOUT = 3
 
@@ -101,6 +101,15 @@ FabricEvent = (CrashProcess | CrashHost | AddHost | AmpReport
                | HostFailureSuspected | Revise)
 
 
+@record
+class Observed(NamedTuple):
+    """What runs: the alive hosts with their alive instances and channels,
+    and the (host, code URI) pairs installed on the alive hosts."""
+
+    config: Configuration
+    installed: frozenset[tuple[str, str]]
+
+
 # ---------------------------------------------------------------------------
 # State
 # ---------------------------------------------------------------------------
@@ -171,6 +180,19 @@ class Fabric:
                 if state.machines[iid].alive:
                     out.append(iid)
         return out
+
+    def observed(self) -> Observed:
+        hosts, instances, channels, installed = [], [], set(), set()
+        for state in self.hosts.values():
+            if state.alive:
+                hosts.append(state.spec)
+                installed.update((state.spec.name, c) for c in state.installed)
+                for m in state.machines.values():
+                    if m.alive:
+                        instances.append(Instance(m.instance, m.instance.type))
+                        channels |= m.channels
+        return Observed(Configuration.build(hosts, instances, channels),
+                        frozenset(installed))
 
     def _drop_channels_touching(self, instance: InstanceId) -> None:
         # Conservation: channels die in the same tick as an endpoint.
@@ -264,7 +286,9 @@ class Fabric:
         host raises HostDown and leaves the fabric untouched. Nothing else is
         checked in advance: an action that fails while running raises a
         FabricError (UnknownInstance for a Wire to an instance that is not
-        running, say), and the actions before it stay applied."""
+        running, say), and the actions before it stay applied. The manager
+        plans by ddd.diff from observed() to a target on alive hosts, so its
+        plans meet neither error."""
         for action in plan:
             for host in self._hosts_of(action):
                 state = self.hosts.get(host)

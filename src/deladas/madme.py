@@ -2,12 +2,14 @@
 
 The manager holds the current resources and constraints, the deployed
 configuration, and a handle on the fabric it manages. Fabric events drive
-the autonomic cycle: a process failure is repaired in place (reinstantiate
-the same instance and rewire its channels); a host failure drops the host
-from the resources and re-solves with the surviving bindings pinned,
-relaxing pins progressively; if nothing works, or the search runs out of
-node budget before it can tell, a constraint error is issued and the fabric
-is left untouched.
+the autonomic cycle, one decision per failure, AMP reports first. Each
+reaction enacts ddd.diff from what the fabric observes to a target: a
+process failure restarts the instance and wires its channels to running
+peers (a peer that is down too wires the rest when it restarts); a host
+failure or a revised goal drops every host the fabric shows down and
+re-solves with the observed bindings pinned, relaxing pins progressively;
+if nothing works, or the search runs out of node budget before it can tell,
+a constraint error is issued and the fabric is left untouched.
 
 External interface: five methods over length-prefixed frames (4-byte
 big-endian payload length, UTF-8 payload). Requests put the method name on
@@ -28,12 +30,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import ddd, evaluator, fabric as fabric_mod, lang, model, solver
-from .ddd import EnactmentPlan, Install, Instantiate, Wire, action_key
+from . import ddd, evaluator, lang, model, solver
+from .ddd import EnactmentPlan
 from .fabric import (AddHost, AmpReport, DuplicateHost, Fabric, HostDown,
                      HostFailureSuspected, Revise)
 from .lang import DeladasError, HostSpec, SpecDocument, record
-from .model import Binding, Configuration, InstanceId
+from .model import Binding, Configuration, Instance, InstanceId
 
 if TYPE_CHECKING:
     import socket
@@ -48,19 +50,8 @@ class MalformedPayload(DeladasError):
 
 
 # ---------------------------------------------------------------------------
-# Decisions and failures
+# Decisions
 # ---------------------------------------------------------------------------
-
-@record
-class ProcessFailure(NamedTuple):
-    instance: InstanceId
-    host: str
-
-
-@record
-class HostFailure(NamedTuple):
-    host: str
-
 
 @record
 class RestartInPlace(NamedTuple):
@@ -84,25 +75,6 @@ class NoOp(NamedTuple):
 
 
 Decision = RestartInPlace | Resolve | ConstraintError | NoOp
-
-
-def classify_window(events) -> list[ProcessFailure | HostFailure]:
-    """Classify one tick window of observer events, AMP reports first.
-
-    An AMP report pins the failure on the process; a failure suspicion with
-    no covering AMP report for that host means the host itself died. A
-    window with no failure signal classifies as nothing.
-    """
-    out: list[ProcessFailure | HostFailure] = []
-    reported_hosts = set()
-    for event in events:
-        if isinstance(event, AmpReport):
-            out.append(ProcessFailure(event.failed_instance, event.host))
-            reported_hosts.add(event.host)
-    for event in events:
-        if isinstance(event, HostFailureSuspected) and event.host not in reported_hosts:
-            out.append(HostFailure(event.host))
-    return out
 
 
 def evolve_resources(doc: SpecDocument, remove: set[str],
@@ -148,7 +120,6 @@ class Manager:
         self.fabric = fabric
         self.options = options or solver.SolveOptions()
         self.deployed = model.empty_on(doc.hosts)
-        self.pending: EnactmentPlan | None = None
         self.history: list[tuple[int, Decision]] = []
         self.saw_constraint_error = False
 
@@ -172,20 +143,8 @@ class Manager:
             self.fabric.log("decision-restart", decision.instance)
         return decision
 
-    def _alive_hosts(self) -> set[str]:
-        return {name for name, state in self.fabric.hosts.items() if state.alive}
-
-    def _surviving(self) -> Configuration:
-        # Keep every alive host, even ones no longer in the resources: their
-        # leftover machines must appear in the diff base to get terminated.
-        return model.restrict_to_hosts(self.deployed, self._alive_hosts())
-
     def _enact(self, plan: EnactmentPlan, new_config: Configuration) -> None:
-        self.pending = plan
-        try:
-            self.fabric.apply_plan(plan)
-        finally:
-            self.pending = None
+        self.fabric.apply_plan(plan)
         self.deployed = new_config
 
     # -- the autonomic cycle ------------------------------------------------------
@@ -220,47 +179,49 @@ class Manager:
                     pass
             elif isinstance(event, Revise):
                 decisions.append(self._revise(event))
-        for classified in classify_window(events):
-            decisions.append(self.autonomic_step(classified))
+        for event in events:
+            if isinstance(event, AmpReport):
+                decisions.append(self._restart(event.failed_instance))
+        for event in events:
+            if isinstance(event, HostFailureSuspected):
+                decisions.append(self._host_failure(event.host))
         return decisions
 
-    def autonomic_step(self,
-                       classified: ProcessFailure | HostFailure | None) -> Decision:
-        if classified is None:
-            return self._record(NoOp("no failure signal"))
-        if isinstance(classified, ProcessFailure):
-            return self._restart_in_place(classified)
-        return self._host_failure(classified)
+    def _running(self, instance: InstanceId) -> bool:
+        machine = self.fabric.machine(instance)
+        return machine is not None and machine.alive
 
-    def _restart_in_place(self, failure: ProcessFailure) -> Decision:
-        instance = failure.instance
+    def _restart(self, instance: InstanceId) -> Decision:
+        """Reconcile one instance's neighbourhood: the instance and each
+        deployed channel of it whose peer runs."""
         if instance not in set(self.deployed.instance_ids()):
             return self._record(NoOp(f"{instance} is not part of the deployment"))
-        ctype = self.doc.component(instance.type)
-        host_state = self.fabric.hosts.get(instance.host)
-        actions: list[object] = []
-        if (ctype is not None and host_state is not None
-                and ctype.code not in host_state.installed):
-            actions.append(Install(instance, ctype.code, instance.host))
-        actions.append(Instantiate(instance))
-        for ch in self.deployed.channels:
-            if instance in (ch.src.instance, ch.dst.instance):
-                actions.append(Wire(ch))
-        plan = EnactmentPlan(tuple(sorted(actions, key=action_key)))
-        decision = RestartInPlace(instance)
-        self._record(decision)
-        try:
-            self.fabric.apply_plan(plan)
-        except (HostDown, fabric_mod.UnknownInstance) as e:
-            return self._record(ConstraintError(f"restart failed: {e}"))
+        host = self.fabric.hosts.get(instance.host)
+        if host is None or not host.alive:
+            return self._record(NoOp(f"host {instance.host} is down"))
+        wanted = tuple(ch for ch in self.deployed.channels
+                       if (ch.src.instance == instance
+                           and self._running(ch.dst.instance))
+                       or (ch.dst.instance == instance
+                           and self._running(ch.src.instance)))
+        # diff reads only instances and channels, in any order.
+        me = (Instance(instance, instance.type),)
+        live = (Configuration((), me, tuple(self.fabric.machine(instance).channels))
+                if self._running(instance) else Configuration())
+        plan = ddd.diff(live, Configuration((), me, wanted), self.doc, frozenset(
+            (instance.host, code) for code in host.installed))
+        decision = self._record(RestartInPlace(instance))
+        self.fabric.apply_plan(plan)
         return decision
 
-    def _host_failure(self, failure: HostFailure) -> Decision:
-        if self.doc.host(failure.host) is None:
-            return self._record(NoOp(f"host {failure.host} already dropped"))
-        self.doc = evolve_resources(self.doc, {failure.host}, [])
+    def _host_failure(self, host: str) -> Decision:
+        state = self.fabric.hosts.get(host)
+        if state is not None and state.alive:
+            return self._record(NoOp(f"host {host} is alive"))
+        if self.doc.host(host) is None:
+            return self._record(NoOp(f"host {host} already dropped"))
         return self._resolve(f"no configuration satisfies {self.cs_name} "
-                             f"after losing {failure.host}")
+                             f"after losing {host}")
 
     def _revise(self, event: Revise) -> Decision:
         try:
@@ -277,10 +238,16 @@ class Manager:
             f"no configuration satisfies revised goal {cs_name}")
 
     def _resolve(self, unsatisfiable: str) -> Decision:
-        """Re-solve the current goal with the surviving bindings pinned,
-        relaxing pins as needed, and enact the change. When no answer comes
+        """Re-solve the current goal from the observed configuration, its
+        bindings pinned and relaxed as needed, over the resource hosts that
+        the fabric shows alive, and enact the change. When no answer comes
         out, record a constraint error and leave the fabric untouched."""
-        base = self._surviving()
+        observed = self.fabric.observed()
+        base = observed.config
+        self.doc = evolve_resources(self.doc, {h.name for h in self.doc.hosts}
+                                    - {h.name for h in base.hosts}, [])
+        # Instances on alive hosts outside the resources stay in the base
+        # unpinned, so the diff terminates them.
         doc_hosts = {h.name for h in self.doc.hosts}
         pins = [b for b in model.bindings_of(base) if b.host in doc_hosts]
         try:
@@ -291,13 +258,9 @@ class Manager:
             return self._record(ConstraintError(unsatisfiable))
         except solver.SearchBudgetExceeded as e:
             return self._record(ConstraintError(str(e)))
-        decision = Resolve(tuple(removed), config)
-        self._record(decision)
-        plan = ddd.diff(base, config, self.doc)
-        try:
-            self._enact(plan, config)
-        except HostDown as e:
-            return self._record(ConstraintError(f"enactment raced a failure: {e}"))
+        decision = self._record(Resolve(tuple(removed), config))
+        self._enact(ddd.diff(base, config, self.doc, observed.installed),
+                    config)
         return decision
 
     # -- the five-method interface --------------------------------------------------

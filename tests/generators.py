@@ -12,6 +12,7 @@ import random
 from collections import namedtuple
 
 from deladas import lang
+from deladas.fabric import AddHost, CrashHost, CrashProcess, Revise
 from deladas.lang import (And, Binder, Card, Compare, ComponentType,
                           ConnectsTo, ConnectedTo, ConstraintSet, HostSpec,
                           HOST_SORT, InstancesOf, IntLiteral, Or, PortRef,
@@ -370,3 +371,29 @@ def break_configuration(rng: random.Random, cfg: Configuration,
         chans.append(Channel(chan.src._replace(index=None),
                              chan.dst._replace(index=None)))
     return Configuration.build(hosts, insts, chans)
+
+
+def gen_scenario(rng: random.Random, hosts: list[str], types: list[str],
+                 revisions: list[tuple[str, str]], length: int) -> list:
+    """length fabric events over ticks 1..2*length: crashes of processes
+    (one instance per host, which may or may not run then) and of hosts,
+    host arrivals, which later events may crash, and revisions drawn from
+    (constraints path, resources path) pairs."""
+    hosts = list(hosts)
+    events = []
+    for _ in range(length):
+        tick = rng.randint(1, 2 * length)
+        roll = rng.random()
+        if roll < 0.45:
+            events.append(CrashProcess(tick, InstanceId(
+                rng.choice(types), rng.choice(hosts), 0)))
+        elif roll < 0.75:
+            events.append(CrashHost(tick, rng.choice(hosts)))
+        elif roll < 0.9 or not revisions:
+            name = f"x{len(hosts)}"
+            hosts.append(name)
+            events.append(AddHost(tick, HostSpec(
+                name, (("ipaddress", f"10.1.0.{len(hosts)}"),))))
+        else:
+            events.append(Revise(tick, *rng.choice(revisions)))
+    return events

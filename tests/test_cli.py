@@ -150,6 +150,21 @@ class TestRunCommand:
         resolves = [l for l in lines if " decision-resolve " in l and "23" == l.split()[0]]
         assert resolves == ["23 decision-resolve removed=Client@h1x1"]
 
+    def test_process_and_host_crash_in_one_tick(self, tmp_path):
+        """The AMP report of a process whose host goes down in the same tick
+        is left to the host's suspicion; the run ends in the goal."""
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("at 10 crash-process Client@h1#0\n"
+                            "at 10 crash-host h3\n")
+        trace = tmp_path / "trace.txt"
+        code = cli.main(["run", "-r", RES, "-c", CONS, "--pins", PINS,
+                         "--scenario", str(scenario), "--trace", str(trace)])
+        assert code == 0
+        lines = trace.read_text().splitlines()
+        assert "10 decision-restart Client@h1#0" in lines
+        assert not any(" decision-constraint-error " in l for l in lines)
+        assert any(l.startswith("13 decision-resolve ") for l in lines)
+
     def test_constraint_error_exits_three(self, tmp_path, three_host_resources):
         scenario = tmp_path / "s.scenario"
         scenario.write_text("at 20 crash-host h2\nat 30 crash-host h3\n")

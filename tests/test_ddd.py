@@ -189,6 +189,25 @@ class TestDiff:
         assert len([a for a in plan if isinstance(a, Install)]) == 1
         assert len([a for a in plan if isinstance(a, Instantiate)]) == 2
 
+    def test_installed_set_decides_install(self):
+        """Given what a fabric has installed, Install is emitted for exactly
+        the (host, code) pairs missing from it, whatever old runs."""
+        doc = helpers.merged_doc()
+        old = helpers.example_configuration()
+        new = evolved_configuration()
+        router_code = "http://deladas.org/RBundle.xml"
+        client_code = "file:///D:ClientBundle.xml"
+        plan = ddd.diff(old, new, doc, frozenset({("h6", router_code)}))
+        assert not [a for a in plan if isinstance(a, Install)]
+        plan = ddd.diff(old, old, doc, frozenset())
+        assert len(plan) == 0
+        plan = ddd.diff(model.empty_on(doc.hosts), old, doc,
+                        frozenset({("h1", client_code), ("h3", router_code)}))
+        assert sorted(a.host for a in plan if isinstance(a, Install)) == [
+            "h2", "h4", "h5", "h6"]
+        assert ddd.apply_plan(old, ddd.diff(old, new, doc, frozenset()),
+                              doc) == new
+
 
 class TestApply:
     def test_apply_random_pairs(self):

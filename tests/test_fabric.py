@@ -80,6 +80,31 @@ class TestApplyPlan:
             fab.apply_plan(ddd.EnactmentPlan((ddd.Wire(present),)))
 
 
+class TestObserved:
+    def test_a_deployed_fabric_observes_its_plan(self):
+        doc, fab = deployed_fabric()
+        observed = fab.observed()
+        assert observed.config == helpers.example_configuration()
+        assert observed.installed == frozenset(
+            (i.id.host, doc.component(i.type).code)
+            for i in observed.config.instances)
+
+    def test_crashes_leave_only_what_runs(self):
+        doc, fab = deployed_fabric()
+        fab.inject(CrashProcess(5, InstanceId("Router", "h3", 0)))
+        fab.inject(CrashHost(5, "h4"))
+        fab.step()
+        observed = fab.observed()
+        assert [h.name for h in observed.config.hosts] == [
+            "h1", "h2", "h3", "h5", "h6"]
+        assert observed.config == model.restrict_to_hosts(
+            helpers.example_configuration(), {"h1", "h2", "h5", "h6"}
+        )._replace(hosts=observed.config.hosts)
+        assert observed.config.channels == ()
+        assert ("h3", "http://deladas.org/RBundle.xml") in observed.installed
+        assert not any(host == "h4" for host, _ in observed.installed)
+
+
 class TestEvents:
     def test_inject_past_event(self):
         _, fab = deployed_fabric()

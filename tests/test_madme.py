@@ -7,9 +7,8 @@ import helpers
 from deladas import ddd, evaluator, fabric as fabric_mod, lang, madme, model, solver
 from deladas.fabric import AmpReport, CrashHost, CrashProcess, HostFailureSuspected
 from deladas.lang import HostSpec
-from deladas.madme import (ConstraintError, HostFailure, Manager, NoOp,
-                           ProcessFailure, Resolve, RestartInPlace,
-                           classify_window, evolve_resources)
+from deladas.madme import (ConstraintError, Manager, NoOp, Resolve,
+                           RestartInPlace, evolve_resources)
 from deladas.model import InstanceId
 
 
@@ -24,24 +23,48 @@ def example_manager():
     return manager
 
 
+def resolves_in(trace) -> list[str]:
+    return [l for l in trace if l.split()[1] == "decision-resolve"]
+
+
 class TestClassify:
+    """How on_events reads each failure signal it is handed."""
+
     def test_amp_report_is_process_failure(self):
-        events = [AmpReport(10, "h3", InstanceId("Router", "h3", 0))]
-        assert classify_window(events) == [ProcessFailure(
-            InstanceId("Router", "h3", 0), "h3")]
+        manager = example_manager()
+        router = InstanceId("Router", "h3", 0)
+        manager.fabric.inject(CrashProcess(10, router))
+        assert manager.fabric.step() == [AmpReport(10, "h3", router)]
+        decisions = manager.on_events([AmpReport(10, "h3", router)])
+        assert decisions == [RestartInPlace(router)]
+        assert manager.doc.host("h3") is not None
 
     def test_suspicion_is_host_failure(self):
-        assert classify_window([HostFailureSuspected(23, "h3")]) == [
-            HostFailure("h3")]
+        manager = example_manager()
+        manager.fabric.inject(CrashHost(20, "h3"))
+        manager.fabric.step()
+        decisions = manager.on_events([HostFailureSuspected(23, "h3")])
+        assert len(decisions) == 1 and isinstance(decisions[0], Resolve)
+        assert manager.doc.host("h3") is None
 
     def test_empty_window_is_noop(self):
-        assert classify_window([]) == []
+        manager = example_manager()
+        trace, history = list(manager.fabric.trace), list(manager.history)
+        assert manager.on_events([]) == []
+        assert (manager.fabric.trace, manager.history) == (trace, history)
 
     def test_amp_report_covers_suspicion_for_same_host(self):
-        events = [AmpReport(9, "h3", InstanceId("Router", "h3", 0)),
-                  HostFailureSuspected(9, "h3")]
-        assert classify_window(events) == [
-            ProcessFailure(InstanceId("Router", "h3", 0), "h3")]
+        """A host whose AMP reported is alive: a suspicion of it in the same
+        window neither drops it nor re-solves."""
+        manager = example_manager()
+        router = InstanceId("Router", "h3", 0)
+        manager.fabric.inject(CrashProcess(9, router))
+        manager.fabric.step()
+        decisions = manager.on_events([AmpReport(9, "h3", router),
+                                       HostFailureSuspected(9, "h3")])
+        assert decisions == [RestartInPlace(router), NoOp("host h3 is alive")]
+        assert manager.doc.host("h3") is not None
+        assert len(resolves_in(manager.fabric.trace)) == 1  # the initial one
 
 
 class TestEvolveResources:
@@ -112,12 +135,80 @@ class TestProcessFailure:
 
     def test_unknown_instance_is_noop(self):
         manager = example_manager()
-        decision = manager.autonomic_step(
-            ProcessFailure(InstanceId("Router", "h9", 0), "h9"))
-        assert isinstance(decision, NoOp)
+        trace = list(manager.fabric.trace)
+        decisions = manager.on_events(
+            [AmpReport(10, "h9", InstanceId("Router", "h9", 0))])
+        assert decisions == [NoOp("Router@h9#0 is not part of the deployment")]
+        assert manager.fabric.trace == trace
+
+    def test_restart_installs_only_missing_code(self):
+        """The fabric's installed code decides Install: restarting the only
+        client on h1 installs nothing, unless the code went missing."""
+        manager = example_manager()
+        fab = manager.fabric
+        client = InstanceId("Client", "h1", 0)
+        fab.inject(CrashProcess(10, client))
+        manager.on_events(fab.step())
+        assert not [l for l in fab.trace if l.startswith("10 install")]
+        fab.hosts["h1"].installed.clear()
+        fab.inject(CrashProcess(11, client))
+        manager.on_events(fab.step())
+        assert [l for l in fab.trace if l.startswith("11 install")] == [
+            "11 install h1 file:///D:ClientBundle.xml"]
+        assert fab.machine(client).alive
+
+    def test_same_tick_pair_of_wired_instances(self):
+        """The first restart skips the channels to its peer, which is down
+        too; the peer's restart wires them."""
+        manager = example_manager()
+        fab = manager.fabric
+        client, router = (InstanceId("Client", "h1", 0),
+                          InstanceId("Router", "h3", 0))
+        fab.inject(CrashProcess(10, client))
+        fab.inject(CrashProcess(10, router))
+        decisions = manager.on_events(fab.step())
+        assert decisions == [RestartInPlace(client), RestartInPlace(router)]
+        lines = [l for l in fab.trace if l.startswith("10 ")]
+        assert lines[lines.index("10 decision-restart Client@h1#0") + 1:
+                     lines.index("10 decision-restart Router@h3#0")] == [
+            "10 instantiate Client@h1#0"]
+        assert fab.observed().config.channels == manager.deployed.channels
+
+    def test_restart_on_a_host_that_went_down_is_noop(self):
+        """The host's suspicion repairs what the AMP report could not."""
+        manager = example_manager()
+        fab = manager.fabric
+        fab.inject(CrashProcess(10, InstanceId("Client", "h1", 0)))
+        fab.inject(CrashHost(10, "h1"))
+        decisions = manager.on_events(fab.step())
+        assert decisions == [NoOp("host h1 is down")]
+        decisions = manager.on_events(fab.step())
+        assert len(decisions) == 1 and isinstance(decisions[0], Resolve)
+        assert manager.doc.host("h1") is None
+        observed = fab.observed().config
+        assert observed.instances == manager.deployed.instances
+        assert observed.channels == manager.deployed.channels
 
 
 class TestHostFailure:
+    def test_a_re_solve_drops_every_host_seen_down(self):
+        """h4 is down but not yet suspected when h3's suspicion re-solves:
+        the re-solve drops both, and h4's own suspicion is then a no-op."""
+        manager = example_manager()
+        fab = manager.fabric
+        fab.inject(CrashHost(10, "h3"))
+        fab.inject(CrashHost(11, "h4"))
+        fab.step()
+        fab.step()
+        decisions = manager.on_events(fab.step())  # h3 suspected at 13
+        assert len(decisions) == 1 and isinstance(decisions[0], Resolve)
+        assert [h.name for h in manager.doc.hosts] == ["h1", "h2", "h5", "h6"]
+        assert {i.id.host for i in manager.deployed.instances} <= {
+            "h1", "h2", "h5", "h6"}
+        assert manager.on_events(fab.step()) == [
+            NoOp("host h4 already dropped")]
+        assert not manager.saw_constraint_error
+
     def test_resolve_after_host_loss(self):
         manager = example_manager()
         fab = manager.fabric
@@ -151,6 +242,21 @@ class TestHostFailure:
                 if machine.alive:
                     live_channels |= machine.channels
         assert live_channels == set(manager.deployed.channels)
+
+
+class TestRevise:
+    def test_a_resource_host_the_fabric_lacks_is_dropped(self, tmp_path):
+        resources = tmp_path / "seven.deladas"
+        resources.write_text(helpers.RESOURCES_TEXT
+                             + 'host h0 = host(ipaddress = "192.168.0.9")\n')
+        manager = example_manager()
+        fab = manager.fabric
+        fab.inject(fabric_mod.Revise(
+            10, str(helpers.SAMPLES / "constraints.deladas"), str(resources)))
+        decisions = manager.on_events(fab.step())
+        assert len(decisions) == 1 and isinstance(decisions[0], Resolve)
+        assert manager.doc.host("h0") is None
+        assert manager.deployed.instances == fab.observed().config.instances
 
 
 CONSTRAINED_GOAL = """
