@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from typing import NamedTuple
 
 from .lang import (DeladasError, HostSpec, SpecDocument, ValidationError,
-                   record)
+                   canonical_host, record)
 from .model import (Channel, Configuration, Instance, InstanceId, PortSlot,
                     validate)
 
@@ -219,13 +219,8 @@ def parse_ddd(data: bytes, doc: SpecDocument | None = None) -> DddDocument:
                 raise SchemaError(f"unknown element <{el.tag}> in <hosts>")
             if "id" not in el.attrib:
                 raise SchemaError("<host> needs an id attribute")
-            name = el.attrib["id"]
-            attrs = [(k, v) for k, v in el.attrib.items() if k != "id"]
-            if "ipaddress" not in dict(attrs) or not dict(attrs)["ipaddress"]:
-                raise ValidationError(f"host {name}: ipaddress attribute required")
-            ip = [(k, v) for k, v in attrs if k == "ipaddress"]
-            rest = [(k, v) for k, v in attrs if k != "ipaddress"]
-            hosts.append(HostSpec(name, tuple(ip + rest)))
+            hosts.append(canonical_host(el.attrib["id"], [
+                (k, v) for k, v in el.attrib.items() if k != "id"]))
 
     instances: list[Instance] = []
     codes: dict[str, str] = {}

@@ -75,8 +75,7 @@ class CheckResult(NamedTuple):
 class _Context:
     """Per-check caches over one configuration, binder ranges included."""
 
-    def __init__(self, config: Configuration, doc: SpecDocument):
-        self.doc = doc
+    def __init__(self, config: Configuration):
         self.out_edges: dict[InstanceId, set[InstanceId]] = {}
         self.neighbours: dict[InstanceId, set[InstanceId]] = {}
         self.families: set[tuple[InstanceId, str, InstanceId, str]] = set()
@@ -240,7 +239,7 @@ def _eval(expr, env: Environment, ctx: _Context) -> tuple[bool, Environment]:
 def check(config: Configuration, cs: ConstraintSet,
           doc: SpecDocument) -> CheckResult:
     """Evaluate every constraint; report one witness per violated clause."""
-    ctx = _Context(config, doc)
+    ctx = _Context(config)
     violations: list[Violation] = []
     for index, constraint in enumerate(cs.constraints):
         ok, witness = _eval(constraint, {}, ctx)
@@ -255,12 +254,12 @@ def reachable(config: Configuration, a: InstanceId, b: InstanceId) -> bool:
     for x in (a, b):
         if x not in ids:
             raise UnknownInstance(str(x))
-    return _Context(config, SpecDocument()).reachable(a, b)
+    return _Context(config).reachable(a, b)
 
 
 def connected_instances(config: Configuration, x: InstanceId) -> set[InstanceId]:
     """All instances sharing at least one channel with x, either direction."""
     if x not in set(config.instance_ids()):
         raise UnknownInstance(str(x))
-    ctx = _Context(config, SpecDocument())
+    ctx = _Context(config)
     return set(ctx.neighbours.get(x, set()))

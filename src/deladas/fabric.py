@@ -3,8 +3,8 @@
 Hosts run component instances in per-process machines; each host also runs
 an AMP (autonomic management process) that reliably reports the death of a
 collocated machine in the same tick. A whole-host crash kills the AMP too,
-so the only signal is a HostFailureSuspected event after heartbeat_timeout
-ticks. Everything is driven by an event queue ordered by (tick, insertion);
+so the only signal is a HostFailureSuspected event HEARTBEAT_TIMEOUT ticks
+later. Everything is driven by an event queue ordered by (tick, insertion);
 identical boot arguments and injected events produce byte-identical traces.
 
 Scenario files: one event per line, `#` comments:
@@ -23,10 +23,11 @@ import heapq
 from typing import NamedTuple
 
 from .ddd import EnactmentPlan, Install, Instantiate, Terminate, Unwire, Wire
-from .lang import DeladasError, HostSpec, record
+from .lang import (DeladasError, HostSpec, ValidationError, canonical_host,
+                   record)
 from .model import Channel, Configuration, Instance, InstanceId
 
-DEFAULT_HEARTBEAT_TIMEOUT = 3
+HEARTBEAT_TIMEOUT = 3  # ticks from a host crash to its suspicion
 
 
 class FabricError(DeladasError):
@@ -124,18 +125,15 @@ class MachineState:
 class HostState:
     def __init__(self, spec: HostSpec):
         self.spec = spec
-        self.alive = True
-        self.amp_alive = True
+        self.alive = True  # the host and its AMP live and die together
         self.machines: dict[InstanceId, MachineState] = {}
         self.installed: set[str] = set()
 
 
 class Fabric:
-    def __init__(self, hosts: list[HostSpec], seed: int,
-                 heartbeat_timeout: int = DEFAULT_HEARTBEAT_TIMEOUT):
+    def __init__(self, hosts: list[HostSpec], seed: int):
+        """seed is only recorded in the boot trace line: nothing is random."""
         self.clock = 0
-        self.rng_seed = seed
-        self.heartbeat_timeout = heartbeat_timeout
         self.hosts: dict[str, HostState] = {}
         self._queue: list[tuple[int, int, FabricEvent]] = []
         self._seq = 0
@@ -233,18 +231,16 @@ class Fabric:
 
     def _process(self, event: FabricEvent) -> list[FabricEvent]:
         if isinstance(event, CrashProcess):
-            host = self.hosts.get(event.instance.host)
+            # A host crash kills its machines: an alive one's AMP is alive.
             machine = self.machine(event.instance)
-            if host is None or not host.alive or machine is None or not machine.alive:
+            if machine is None or not machine.alive:
                 self.log("crash-process", event.instance, "ignored")
                 return []
             self.log("crash-process", event.instance)
             self._kill_machine(machine)
-            if host.amp_alive:
-                report = AmpReport(self.clock, host.spec.name, event.instance)
-                self.log("amp-report", report.host, report.failed_instance)
-                return [report]
-            return []
+            report = AmpReport(self.clock, event.instance.host, event.instance)
+            self.log("amp-report", report.host, report.failed_instance)
+            return [report]
         if isinstance(event, CrashHost):
             state = self.hosts.get(event.host)
             if state is None or not state.alive:
@@ -252,12 +248,11 @@ class Fabric:
                 return []
             self.log("crash-host", event.host)
             state.alive = False
-            state.amp_alive = False
             for iid in sorted(state.machines, key=str):
                 machine = state.machines[iid]
                 if machine.alive:
                     self._kill_machine(machine)
-            self.inject(HostFailureSuspected(self.clock + self.heartbeat_timeout,
+            self.inject(HostFailureSuspected(self.clock + HEARTBEAT_TIMEOUT,
                                              event.host))
             return []
         if isinstance(event, HostFailureSuspected):
@@ -347,10 +342,9 @@ class Fabric:
             raise FabricError(f"unknown action {action!r}")
 
 
-def boot(hosts: list[HostSpec], seed: int = 0,
-         heartbeat_timeout: int = DEFAULT_HEARTBEAT_TIMEOUT) -> Fabric:
+def boot(hosts: list[HostSpec], seed: int = 0) -> Fabric:
     """Bring up a fabric with every host (and its AMP) alive and idle."""
-    return Fabric(list(hosts), seed, heartbeat_timeout)
+    return Fabric(list(hosts), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +378,17 @@ def parse_scenario(text: str) -> list[FabricEvent]:
             if len(args) < 2:
                 raise ScenarioError(
                     f"line {lineno}: add-host needs a name and ipaddress=<value>")
-            name = args[0]
             attrs = []
             for item in args[1:]:
                 key, sep, value = item.partition("=")
                 if not sep or not key:
                     raise ScenarioError(f"line {lineno}: bad attribute {item!r}")
                 attrs.append((key, value))
-            if "ipaddress" not in dict(attrs) or not dict(attrs)["ipaddress"]:
-                raise ScenarioError(f"line {lineno}: add-host needs ipaddress=<value>")
-            ip = [(k, v) for k, v in attrs if k == "ipaddress"]
-            rest = [(k, v) for k, v in attrs if k != "ipaddress"]
-            events.append(AddHost(tick, HostSpec(name, tuple(ip + rest))))
+            try:
+                host = canonical_host(args[0], attrs)
+            except ValidationError as e:
+                raise ScenarioError(f"line {lineno}: {e}") from None
+            events.append(AddHost(tick, host))
         elif kind == "revise":
             keyed = dict(item.partition("=")[::2] for item in args)
             if set(keyed) != {"constraints", "resources"}:

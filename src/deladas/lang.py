@@ -743,7 +743,7 @@ def validate_document(doc: SpecDocument) -> SpecDocument:
     _check_distinct([h.name for h in doc.hosts], "host")
     _check_distinct([cs.name for cs in doc.constraintsets], "constraintset")
 
-    hosts = tuple(_canonical_host(h) for h in doc.hosts)
+    hosts = tuple(canonical_host(h.name, h.attributes) for h in doc.hosts)
     for cs in doc.constraintsets:
         for expr in cs.constraints:
             _check_expr(expr, {}, doc, cs.name)
@@ -758,15 +758,53 @@ def _check_distinct(names: list[str], what: str) -> None:
         seen.add(name)
 
 
-def _canonical_host(h: HostSpec) -> HostSpec:
-    keys = [k for k, _ in h.attributes]
+def canonical_host(name: str, attributes) -> HostSpec:
+    """A host as Deladas text, a DDD and add-host all read it, ipaddress
+    first. Names and keys are identifiers, keys distinct XML names but `id`
+    (the DDD's name attribute), values XML text and ipaddress non-empty, so
+    the host prints and survives ddd.to_xml and ddd.parse_ddd."""
+    keys = [k for k, _ in attributes]
+    if not _is_identifier(name):
+        raise ValidationError(f"host name {name!r} is not an identifier")
     if len(set(keys)) != len(keys):
-        raise ValidationError(f"host {h.name}: duplicate attribute keys")
-    ip = [(k, v) for k, v in h.attributes if k == "ipaddress"]
+        raise ValidationError(f"host {name}: duplicate attribute keys")
+    for key, value in attributes:
+        if not (_is_attribute_key(key) and _is_xml_text(value)):
+            raise ValidationError(f"host {name}: bad attribute {key!r}")
+    ip = [(k, v) for k, v in attributes if k == "ipaddress"]
     if not ip or not ip[0][1]:
-        raise ValidationError(f"host {h.name}: ipaddress attribute required")
-    rest = [(k, v) for k, v in h.attributes if k != "ipaddress"]
-    return HostSpec(h.name, tuple(ip + rest))
+        raise ValidationError(f"host {name}: ipaddress attribute required")
+    rest = [(k, v) for k, v in attributes if k != "ipaddress"]
+    return HostSpec(name, tuple(ip + rest))
+
+
+def _is_identifier(text: str) -> bool:
+    """Whether tokenize reads text as one identifier: a letter or _, then
+    letters, digits (isalnum) or _, and no keyword."""
+    word = text.replace("_", "a")  # _ goes wherever a letter does
+    return word[:1].isalpha() and word.isalnum() and text not in KEYWORDS
+
+
+def _is_attribute_key(key: str) -> bool:
+    """An identifier but id that the DDD's XML parser reads back as a key:
+    not xmlns (a namespace), and a non-ASCII one only if the parser takes
+    it, as its name characters predate most letters (it rejects 'ª')."""
+    if key == "id" or not _is_identifier(key):
+        return False
+    if key.isascii():
+        return key != "xmlns"
+    import xml.etree.ElementTree as ET  # only non-ASCII keys need it
+    try:
+        return ET.fromstring(f'<host {key}=""/>').attrib == {key: ""}
+    except ET.ParseError:
+        return False
+
+
+def _is_xml_text(value: str) -> bool:
+    """Whether value holds only XML 1.0 characters; printable ones all are."""
+    return value.isprintable() or all(
+        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+        or c >= "\U00010000" for c in value)
 
 
 def _check_expr(expr: ConstraintExpr, env: dict[str, str],

@@ -435,32 +435,29 @@ def serve(manager: Manager, listener: socket.socket) -> None:
                 write_frame(conn, response)
 
 
+def _address(spec: str) -> tuple[str, int] | str:
+    """A TCP (host, port) for '8123' (on 127.0.0.1) or 'host:8123', else
+    spec itself as a unix socket path."""
+    host, sep, port = spec.rpartition(":")
+    if port.isdigit() and ":" not in host:
+        return (host if sep else "127.0.0.1", int(port))
+    return spec
+
+
 def make_listener(spec: str) -> socket.socket:
     """Listen on a TCP port ('8123' or 'host:8123') or a unix socket path."""
     import socket  # only serving needs it; the other commands start faster
-    if spec.isdigit():
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", int(spec)))
-    elif spec.count(":") == 1 and spec.rsplit(":", 1)[1].isdigit():
-        host, port = spec.rsplit(":", 1)
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, int(port)))
-    else:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.bind(spec)
-    sock.listen(4)
-    return sock
+    address = _address(spec)
+    family = socket.AF_UNIX if isinstance(address, str) else socket.AF_INET
+    return socket.create_server(address, family=family, backlog=4)
 
 
 def connect(spec: str) -> socket.socket:
+    """Connect to an address that make_listener accepts."""
     import socket
-    if spec.isdigit():
-        return socket.create_connection(("127.0.0.1", int(spec)))
-    if spec.count(":") == 1 and spec.rsplit(":", 1)[1].isdigit():
-        host, port = spec.rsplit(":", 1)
-        return socket.create_connection((host, int(port)))
+    address = _address(spec)
+    if not isinstance(address, str):
+        return socket.create_connection(address)
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.connect(spec)
+    sock.connect(address)
     return sock

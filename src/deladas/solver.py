@@ -45,7 +45,8 @@ Candidate channels are the instantiations of the `connectsto` patterns
 appearing in the selected constraintset (typed port pairs, oriented as
 written) between the placement's instances, numbered 0..n-1, built once per
 placement. Each decision includes or excludes one edge in the view's
-incremental edge sets and is undone on backtrack.
+incremental edge sets and is undone on backtrack. A wiring includes at most
+n squared channels for n instances.
 
 No recursion. Both phases are loops over explicit stacks that undo their
 own decisions, and a node calls nothing deeper than the item closures, so
@@ -115,13 +116,11 @@ class SearchBudgetExceeded(DeladasError):
 
 @record
 class SolveOptions(NamedTuple):
-    max_instances_per_host: int = 1
-    max_total_instances: int | None = None  # default: hosts * per-host bound
-    solution_limit: int = 1
-    pins: tuple[Binding, ...] = ()
-    channel_budget: int | None = None  # default: instances**2 per placement
+    max_instances_per_host: int = 1  # every host holds at most this many
+    solution_limit: int = 1  # stop after this many solutions
+    pins: tuple[Binding, ...] = ()  # floors on per-host counts
     prior: Configuration | None = None  # channel preference only
-    node_budget: int | None = None
+    node_budget: int | None = None  # stop (not exhausted) after this many nodes
 
 
 @record
@@ -172,13 +171,6 @@ def _check_options(doc: SpecDocument, opts: SolveOptions) -> SolveOptions:
         raise BoundsError("max_instances_per_host must be >= 1")
     if opts.solution_limit < 1:
         raise BoundsError("solution_limit must be >= 1")
-    total = opts.max_total_instances
-    if total is None:
-        total = len(doc.hosts) * opts.max_instances_per_host
-    if total < 1 and doc.hosts:
-        raise BoundsError("max_total_instances must be >= 1")
-    if opts.channel_budget is not None and opts.channel_budget < 0:
-        raise BoundsError("channel_budget must be >= 0")
     host_names = {h.name for h in doc.hosts}
     type_names = {c.name for c in doc.components}
     for pin in opts.pins:
@@ -188,7 +180,7 @@ def _check_options(doc: SpecDocument, opts: SolveOptions) -> SolveOptions:
             raise ValidationError(f"pin {pin}: unknown type {pin.type}")
         if pin.count < 1:
             raise ValidationError(f"pin {pin}: count must be >= 1")
-    return opts._replace(max_total_instances=total)
+    return opts
 
 
 def _pin_floors(pins: tuple[Binding, ...]) -> dict[str, dict[str, int]]:
@@ -325,7 +317,9 @@ class _Budget(Exception):
 class _Placement:
     """One complete placement. Its instances are numbered 0..n-1 in
     placement order (host, then type declaration, then ordinal); the wiring
-    phase works on those numbers, and ids, names and types map them back."""
+    phase works on those numbers, and ids, names and types map them back.
+    max_channels, n squared, caps the channels of a wiring, in enumerate_all
+    too (3-host randc has 2,033 solutions within it, 2,112 without)."""
 
     def __init__(self, doc: SpecDocument, counts: dict[tuple[str, str], int]):
         self.counts = counts
@@ -335,6 +329,7 @@ class _Placement:
         self.ids = [inst.id for inst in self.instances]
         self.names = [str(i) for i in self.ids]
         self.types = [inst.type for inst in self.instances]
+        self.max_channels = len(self.instances) ** 2
         self.by_type: dict[str, list[int]] = {}
         for n, type_name in enumerate(self.types):
             self.by_type.setdefault(type_name, []).append(n)
@@ -791,23 +786,45 @@ class _Search:
         except _Budget:
             return False
 
+    def _settle(self, groups) -> list[list[tuple]] | None:
+        """Evaluate the items of each list in groups, in order, counting
+        each in evaluations. None when an item is False (the node is cut);
+        else, per list, the items still open, since a True item holds in
+        every descendant."""
+        env = self.env
+        evaluated = 0
+        fresh = []
+        for items in groups:
+            keep = []
+            for item in items:
+                evaluated += 1
+                env[item[1]] = item[2]
+                value = item[0]()
+                if value is None:
+                    keep.append(item)
+                elif value is False:
+                    self.evaluations += evaluated
+                    return None
+            fresh.append(keep)
+        self.evaluations += evaluated
+        return fresh
+
     def _place(self) -> bool:
         """Assign hosts in declaration order, each host its count vectors in
         canonical order, and wire every complete placement. Returns False
         when the solution limit is reached.
 
         An explicit-stack loop: depth i is host i. The first host's node
-        evaluates every placement item; host i's node then evaluates the
+        settles every placement item; host i's node then settles the
         unanchored items and those anchored on host i, with the unassigned
         hosts read as count intervals. groups[h] holds the open items
         anchored on host h and groups[-1] the unanchored ones; a node saves
         the groups it replaces, and they are put back when it is left."""
-        doc, view, env = self.doc, self.view, self.env
+        doc, view = self.doc, self.view
         hosts = doc.hosts
         n = len(hosts)
         types = [c.name for c in doc.components]
         per_host = self.opts.max_instances_per_host
-        most = self.opts.max_total_instances
         lo, hi = view.lo, view.hi
         groups: list[list[tuple]] = [[] for _ in range(n + 1)]
         for index in self.placement_clauses:
@@ -819,7 +836,6 @@ class _Search:
         floors = [self.pin_floors.get(h.name, {}) for h in hosts]
         vectors = [_count_vectors(types, per_host, f) for f in floors]
         tried = [0] * n
-        totals = [0] * n
         saved: list[list[tuple[int, list]]] = [[] for _ in range(n)]
         budget = self.opts.node_budget
         if budget is None:
@@ -840,43 +856,24 @@ class _Search:
                     groups[g] = items
                 continue
             tried[i] = k + 1
-            vector = vectors[i][k]
-            total = totals[i] + sum(vector)
-            if total > most:
-                continue
             self.placement_nodes += 1
             if self.placement_nodes + self.wiring_nodes > budget:
                 raise _Budget()
-            for t, count in zip(types, vector):
+            for t, count in zip(types, vectors[i][k]):
                 lo[t][i] = hi[t][i] = count
-            cut = False
-            fresh = []
-            for g in (range(n + 1) if i == 0 else (i, n)):
-                keep = []
-                for item in groups[g]:
-                    self.evaluations += 1
-                    env[item[1]] = item[2]
-                    value = item[0]()
-                    if value is None:
-                        keep.append(item)
-                    elif value is False:
-                        cut = True
-                        break
-                if cut:
-                    break
-                fresh.append((g, keep))
-            if cut:
+            touched = range(n + 1) if i == 0 else (i, n)
+            fresh = self._settle([groups[g] for g in touched])
+            if fresh is None:
                 continue
             if any(d > 0 for d in _shortfalls(self.bounds, lo_sum, hi_sum)):
                 self.bound_cuts += 1
                 continue
-            saved[i] = [(g, groups[g]) for g, _ in fresh]
-            for g, items in fresh:
+            saved[i] = [(g, groups[g]) for g in touched]
+            for g, items in zip(touched, fresh):
                 groups[g] = items
             if i + 1 < n:
                 i += 1
                 tried[i] = 0
-                totals[i] = total
                 continue
             placed = {(h.name, t): lo[t][j]
                       for j, h in enumerate(hosts) for t in types}
@@ -889,13 +886,16 @@ class _Search:
     def _wire(self, placement: _Placement, carried: list[tuple]) -> bool:
         """Decide every candidate channel of a placement, include or exclude,
         with the placement items still open in carried. Returns False when
-        the solution limit is reached.
+        the solution limit is reached. A wiring includes at most
+        placement.max_channels channels.
 
         An explicit-stack loop: node i has candidates[:i] decided. The root
-        evaluates every item; node i then evaluates the unanchored items and
-        those anchored on either end of candidates[i - 1], and puts back the
-        groups it replaced when it is left. tried[i] counts the options node
-        i has tried, and the last one tried is the decision to undo."""
+        settles every item as one list, carried items first and then the
+        wiring clauses' in clause order, and files the open ones by anchor;
+        node i then settles the unanchored items and those anchored on
+        either end of candidates[i - 1], and puts back the groups it
+        replaced when it is left. tried[i] counts the options node i has
+        tried, and the last one tried is the decision to undo."""
         candidates = _candidate_edges(placement, self.patterns)
         # Decide surviving channels first, include-first, so backtracking
         # disturbs them last; each group keeps the name order.
@@ -911,10 +911,7 @@ class _Search:
         fixed = [tuple(fam for fam in ((e.src, e.src_port), (e.dst, e.dst_port))
                        if (types[fam[0]], fam[1]) in self.fixed_ports)
                  for e in candidates]
-        budget = self.opts.channel_budget
-        if budget is None:
-            budget = len(placement.instances) ** 2
-        view, env = self.view, self.env
+        view = self.view
         view.place(placement, candidates)
         sure, possible = view.sure, view.possible
         used_fixed: set[tuple[int, str]] = set()
@@ -922,10 +919,11 @@ class _Search:
         n, m = len(placement.instances), len(candidates)
         # Open items by anchor instance; groups[n] holds the unanchored ones.
         groups: list[list[tuple]] = [[] for _ in range(n + 1)]
-        root = [(n, item) for item in carried]
+        # Root items carry their anchor (their group) as a fourth element.
+        root = [item + (n,) for item in carried]
         for index in self.wiring_clauses:
             clause = self.clauses[index]
-            root += ((item[2] if clause.anchored else n, item)
+            root += (item + (item[2] if clause.anchored else n,)
                      for item in clause.items(view))
         tried = [0] * (m + 1)
         saved: list = [None] * (m + 1)
@@ -933,48 +931,28 @@ class _Search:
         # while one placement is wired.
         limit = self.opts.node_budget
         limit = sys.maxsize if limit is None else limit - self.placement_nodes
-        nodes, evals = self.wiring_nodes, 0
+        nodes = self.wiring_nodes
         i = 0
         try:
             while True:
                 nodes += 1
                 if nodes > limit:
                     raise _Budget()
-                cut = False
                 if i:
                     edge = candidates[i - 1]
                     a, b = edge.src, edge.dst
                     saved[i] = touched = (groups[a], groups[b], groups[n])
-                    fresh = []
-                    for items in touched:
-                        keep = []
-                        for item in items:
-                            evals += 1
-                            env[item[1]] = item[2]
-                            value = item[0]()
-                            if value is None:
-                                keep.append(item)
-                            elif value is False:
-                                cut = True
-                                break
-                        if cut:
-                            break
-                        fresh.append(keep)
-                    if not cut:
+                    fresh = self._settle(touched)
+                    if fresh is not None:
                         groups[a], groups[b], groups[n] = fresh
                 else:
-                    for g, item in root:
-                        evals += 1
-                        env[item[1]] = item[2]
-                        value = item[0]()
-                        if value is None:
-                            groups[g].append(item)
-                        elif value is False:
-                            cut = True
-                            break
-                if cut or i == m:
+                    fresh = self._settle((root,))
+                    if fresh is not None:
+                        for item in fresh[0]:
+                            groups[item[3]].append(item)
+                if fresh is None or i == m:
                     tried[i] = 2
-                    if not cut:  # every edge decided: every item held
+                    if fresh is not None:  # every edge decided: every item held
                         self._accept(placement, chosen)
                         if len(self.solutions) >= self.opts.solution_limit:
                             return False
@@ -987,7 +965,7 @@ class _Search:
                         tried[i] = k + 1
                         edge = candidates[i]
                         if order[i][k]:
-                            if (len(chosen) >= budget
+                            if (len(chosen) >= placement.max_channels
                                     or not used_fixed.isdisjoint(fixed[i])):
                                 continue
                             sure.add(edge)
@@ -1012,7 +990,6 @@ class _Search:
                         possible.add(edge)
         finally:
             self.wiring_nodes = nodes
-            self.evaluations += evals
 
     def _accept(self, placement: _Placement, edges: list[_Edge]) -> None:
         config = _materialize(self.doc, placement, edges)
@@ -1111,7 +1088,8 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
     """Exhaustive generate-and-test oracle over the bounded space.
 
     Independent of the solver: every structurally valid placement/wiring in
-    the space is materialized and judged by evaluator.check alone. Its
+    the space (the solver's, with placement.max_channels channels at most)
+    is materialized and judged by evaluator.check alone. Its
     placement_nodes count every placement in the bounded space.
     """
     opts = _check_options(doc, opts or SolveOptions())
@@ -1127,13 +1105,10 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
     floors = _pin_floors(opts.pins)
     per_host = [_count_vectors(types, opts.max_instances_per_host,
                                floors.get(h.name, {})) for h in doc.hosts]
-    placements = []
-    for vectors in itertools.product(*per_host):
-        if sum(map(sum, vectors)) > opts.max_total_instances:
-            continue
-        placements.append(_Placement(doc, {
-            (h.name, t): n for h, vector in zip(doc.hosts, vectors)
-            for t, n in zip(types, vector)}))
+    placements = [_Placement(doc, {
+        (h.name, t): n for h, vector in zip(doc.hosts, vectors)
+        for t, n in zip(types, vector)})
+        for vectors in itertools.product(*per_host)]
     worst = max((len(_candidate_edges(p, patterns)) for p in placements),
                 default=0)
     if worst > ORACLE_MAX_CANDIDATES:
@@ -1145,10 +1120,6 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
     solutions: list[Configuration] = []
     for placement in placements:
         candidates = _candidate_edges(placement, patterns)
-        budget = opts.channel_budget
-        if budget is None:
-            budget = len(placement.instances) ** 2
-
         nonvariadic: list[tuple[int, tuple[int, str]]] = []
         for idx, edge in enumerate(candidates):
             for inst, port in ((edge.src, edge.src_port),
@@ -1160,7 +1131,7 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
 
         for mask in range(1 << len(candidates)):
             nodes += 1
-            if bin(mask).count("1") > budget:
+            if bin(mask).count("1") > placement.max_channels:
                 continue
             taken = [family for idx, family in nonvariadic if mask >> idx & 1]
             if len(taken) != len(set(taken)):  # a non-variadic port reused

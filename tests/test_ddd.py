@@ -4,10 +4,11 @@ import pytest
 
 import generators
 import helpers
-from deladas import ddd, model
+from deladas import ddd, lang, model
 from deladas.ddd import (EnactmentPlan, Install, Instantiate, SchemaError,
                          Terminate, Unwire, Wire, XmlError)
-from deladas.lang import ValidationError
+from deladas.fabric import ScenarioError, parse_scenario
+from deladas.lang import HostSpec, SpecDocument, ValidationError
 from deladas.model import Configuration, Instance, InstanceId
 
 GOLDEN = Path(__file__).resolve().parent.parent / "samples" / "example-deployment.xml"
@@ -113,6 +114,91 @@ class TestFromXml:
         assert parsed.constraintset == "randc"
         assert parsed.codes == {"Client": "file:///D:ClientBundle.xml",
                                 "Router": "http://deladas.org/RBundle.xml"}
+
+
+def _host_round_trip(host: HostSpec) -> None:
+    """host survives a DDD and Deladas text unchanged."""
+    data = ddd.to_xml(model.empty_on((host,)), SpecDocument(), "")
+    assert ddd.parse_ddd(data).configuration.hosts == (host,)
+    text = lang.pretty_print(SpecDocument(hosts=(host,)))
+    assert lang.parse(text).hosts == (host,)
+
+
+class TestHostForm:
+    """Every path that reads a host (Deladas text, a DDD, a scenario's
+    add-host) accepts exactly the hosts that a DDD can carry."""
+
+    @pytest.mark.parametrize("attrs", [
+        'ipaddress = "1", id = "x"',  # the DDD's own name attribute
+        'ipaddress = "1", ª = "x"',  # identifiers, but not XML names
+        'ipaddress = "1", ǅ = "x"',
+        'ipaddress = "1", xmlns = "x"',  # a namespace declaration in XML
+        'ipaddress = "1\x01"',  # not an XML character
+        'ipaddress = "1", ipaddress = "2"',
+        'owner = "ops"',
+    ])
+    def test_text_rejects(self, attrs):
+        with pytest.raises(ValidationError):
+            lang.parse(f"host h1 = host({attrs})\n")
+
+    @pytest.mark.parametrize("args", [
+        "h9 ipaddress=1 ipaddress=2",
+        "h9 ipaddress=1 a<b=2",
+        "h9 ipaddress=1 id=7",
+        "h#9 ipaddress=1",
+        "forall ipaddress=1",
+        "h9 ipaddress=1 ª=2",
+        "h9 ipaddress=1 ǅ=2",
+        "h9 ipaddress=1\x01",
+    ])
+    def test_scenario_rejects(self, args):
+        with pytest.raises(ScenarioError, match="^line 2: "):
+            parse_scenario(f"at 1 crash-host h1\nat 5 add-host {args}\n")
+
+    @pytest.mark.parametrize("host", ["h#9", "forall", "", "9h"])
+    def test_ddd_rejects_a_host_name_that_is_no_identifier(self, host):
+        data = (f'<deployment><hosts><host id="{host}" ipaddress="1"/>'
+                '</hosts></deployment>').encode()
+        with pytest.raises(ValidationError):
+            ddd.parse_ddd(data)
+
+    def test_accepted_keys_round_trip(self):
+        doc = lang.parse('host h1 = host(é = "1", ipaddress = "2", '
+                         'os_2 = "linux", _k = "")\n')
+        assert doc.hosts[0].attributes == (
+            ("ipaddress", "2"), ("é", "1"), ("os_2", "linux"), ("_k", ""))
+        event, = parse_scenario("at 5 add-host h9 é=1 ipaddress=2\n")
+        assert event.host.attributes == (("ipaddress", "2"), ("é", "1"))
+        for host in doc.hosts + (event.host,):
+            _host_round_trip(host)
+
+    def test_every_accepted_host_round_trips(self):
+        """Random names, keys and values: each is rejected with a
+        ValidationError or survives to_xml and parse_ddd."""
+        rng = helpers.rng(71)
+        letters = ["a", "Z", "_", "é", "ß", "〇", "ª", "ǅ", "µ", "²", "7", "#",
+                   "<", "@", "-"]
+        words = ["id", "xmlns", "host", "forall", "ipaddress"]
+        chars = ["1", " ", "\t", "\n", "\r", "&", '"', "<", "\\", "\x01",
+                 "\x7f", "\ufffe", "é", "\U0001f600"]
+
+        def word():
+            if rng.random() < 0.2:
+                return rng.choice(words)
+            return "".join(rng.choices(letters, k=rng.randint(0, 3)))
+        accepted = 0
+        for _ in range(2000):
+            attrs = [(word(), "".join(rng.choices(chars, k=rng.randint(0, 3))))
+                     for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.8:
+                attrs.insert(rng.randint(0, len(attrs)), ("ipaddress", "1"))
+            try:
+                host = lang.canonical_host(word(), attrs)
+            except ValidationError:
+                continue
+            _host_round_trip(host)
+            accepted += 1
+        assert accepted > 100
 
 
 def evolved_configuration():

@@ -412,9 +412,9 @@ class TestMiniscoping:
                                                    max_channels=6)
                 for constraint in doc.constraintsets[0].constraints:
                     got = evaluator._eval(constraint, {},
-                                          evaluator._Context(cfg, doc))
+                                          evaluator._Context(cfg))
                     want = evaluator._eval(constraint, {},
-                                           _FullProduct(cfg, doc))
+                                           _FullProduct(cfg))
                     assert got[0] == want[0]
                     assert list(got[1].items()) == list(want[1].items())
                     compared += 1

@@ -26,7 +26,7 @@ class TestBoot:
         doc = helpers.merged_doc()
         fab = boot(list(doc.hosts), seed=0)
         assert len(fab.hosts) == 6
-        assert all(s.alive and s.amp_alive for s in fab.hosts.values())
+        assert all(s.alive for s in fab.hosts.values())
         assert all(not s.machines for s in fab.hosts.values())
         assert fab.clock == 0
 
@@ -120,7 +120,7 @@ class TestEvents:
         delivered = fab.step()
         assert delivered == [AmpReport(10, "h3", InstanceId("Router", "h3", 0))]
         host = fab.hosts["h3"]
-        assert host.alive and host.amp_alive
+        assert host.alive
         assert not host.machines[InstanceId("Router", "h3", 0)].alive
 
     def test_crash_host_suspected_after_timeout(self):
@@ -131,7 +131,7 @@ class TestEvents:
         assert delivered == [HostFailureSuspected(23, "h3")]
         assert fab.clock == 23
         state = fab.hosts["h3"]
-        assert not state.alive and not state.amp_alive
+        assert not state.alive
         assert all(not m.alive for m in state.machines.values())
 
     def test_no_amp_report_for_host_crash(self):

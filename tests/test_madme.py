@@ -491,6 +491,32 @@ class TestFraming:
         finally:
             listener.close()
 
+    @pytest.mark.parametrize("spec, address", [
+        ("8123", ("127.0.0.1", 8123)),
+        ("localhost:8123", ("localhost", 8123)),
+        (":8123", ("", 8123)),
+        ("server.sock", "server.sock"),
+        ("a:b:8123", "a:b:8123"),
+        ("host:", "host:"),
+        ("host:x1", "host:x1"),
+    ])
+    def test_listener_and_client_read_one_address(self, spec, address):
+        assert madme._address(spec) == address
+
+    def test_served_over_a_unix_socket(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a short relative path fits sun_path
+        doc = helpers.merged_doc()
+        manager = Manager(doc, "randc", fabric_mod.boot(list(doc.hosts), 0))
+        listener = madme.make_listener("server.sock")
+        threading.Thread(target=madme.serve, args=(manager, listener),
+                         daemon=True).start()
+        try:
+            sock = madme.connect("server.sock")
+            ok, body = madme.request(sock, "get-resources")
+            assert ok and "component Router" in body
+            sock.close()
+        finally:
+            listener.close()
 
     def test_server_survives_a_non_utf8_frame(self):
         doc = helpers.merged_doc()
