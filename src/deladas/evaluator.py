@@ -1,10 +1,20 @@
-"""Constraint evaluation: does a Configuration satisfy a ConstraintSet?
+"""Constraint evaluation: the one semantics of the constraint language.
 
-This is the engine's ground truth; the solver is checked against it. All
-evaluation is pure and deterministic: quantifiers range in canonical order
-and the first falsifying assignment becomes the reported witness. A binder
-its quantifier's body does not mention is tried at its first value only, so
-nested quantifiers cost time linear in their depth.
+A constraint compiles, against a _View, into a closure that returns True
+(the constraint holds in every completion of the view), False (it holds in
+none) or None (not yet known). The solver compiles its goal once per
+search, over a view of count intervals and of edges included (sure) or not
+yet excluded (possible). check compiles it over the view of one complete
+configuration, where every interval is exact and sure equals possible, so
+every value is definite: a complete instance is the case lower bound ==
+upper bound (Torlak & Jackson, "Kodkod: A Relational Model Finder", TACAS
+2007). The tests judge both against an independent reference walker.
+
+Evaluation is pure and deterministic: quantifiers range in canonical order
+(hosts in declaration order, instances in configuration order), and check
+reports the first falsifying assignment as the witness. A binder its
+quantifier's body does not mention is tried at its first value only
+(miniscoping), so nested quantifiers cost time linear in their depth.
 
 Semantics notes:
   - `p.a connectsto q.b` holds when some channel joins slots of the two port
@@ -18,18 +28,17 @@ Semantics notes:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import NamedTuple
 
-from . import lang
-from .lang import (And, Card, Compare, ConnectsTo, ConstraintSet,
-                   DeladasError, HOST_SORT, InstancesOf, IntLiteral, Or,
-                   Quantified, Reachable, SpecDocument, Var, record)
+from .lang import (And, Compare, ConnectsTo, ConstraintSet, DeladasError,
+                   HOST_SORT, InstancesOf, IntLiteral, Or, Quantified,
+                   Reachable, SpecDocument, Var, free_vars, record)
 from .model import Configuration, InstanceId
 
 
 class EvalTypeError(DeladasError):
-    """An operand had the wrong runtime kind (defense in depth)."""
+    """A comparison orders variables or compares a variable with a number.
+    Validation rejects both; a hand-built constraint set may have them."""
 
 
 class UnknownInstance(DeladasError):
@@ -52,9 +61,6 @@ class InstanceBinding(NamedTuple):
         return str(self.instance)
 
 
-Environment = dict[str, "HostBinding | InstanceBinding"]
-
-
 @record
 class Violation(NamedTuple):
     index: int
@@ -72,44 +78,258 @@ class CheckResult(NamedTuple):
     violations: tuple[Violation, ...]
 
 
-class _Context:
-    """Per-check caches over one configuration, binder ranges included."""
+class _Edge(NamedTuple):
+    """A channel between two numbered instances at port-family level (no
+    variadic index). The tuple itself is the port family the compiled
+    clauses look up."""
 
-    def __init__(self, config: Configuration):
-        self.out_edges: dict[InstanceId, set[InstanceId]] = {}
-        self.neighbours: dict[InstanceId, set[InstanceId]] = {}
-        self.families: set[tuple[InstanceId, str, InstanceId, str]] = set()
-        self.hosts = [HostBinding(h.name) for h in config.hosts]
-        self.by_type: dict[str, list[InstanceBinding]] = {}
-        self.on_host = Counter((i.id.host, i.type) for i in config.instances)
-        self._free: dict[int, set[str]] = {}
-        for inst in config.instances:
-            self.out_edges[inst.id] = set()
-            self.neighbours[inst.id] = set()
-            self.by_type.setdefault(inst.type, []).append(InstanceBinding(inst.id))
-        for ch in config.channels:
-            u, v = ch.src.instance, ch.dst.instance
-            self.out_edges.setdefault(u, set()).add(v)
-            self.neighbours.setdefault(u, set()).add(v)
-            self.neighbours.setdefault(v, set()).add(u)
-            self.families.add((u, ch.src.port, v, ch.dst.port))
+    src: int
+    src_port: str
+    dst: int
+    dst_port: str
 
-    def reachable(self, a: InstanceId, b: InstanceId) -> bool:
-        return has_path(self.out_edges, a, b)
 
-    def free_in_body(self, expr: Quantified) -> set[str]:
-        """lang.free_vars of the quantifier's body, one walk per check."""
-        if id(expr) not in self._free:
-            lang.free_vars(expr, self._free)
-        return self._free[id(expr)]
+class _EdgeSet:
+    """A set of edges in the shapes the compiled clauses read: port
+    families, directed adjacency (successor -> number of edges) and its
+    reverse (predecessor -> number of edges), and per (instance, type) the
+    number of distinct neighbours of that type."""
 
-    def connected(self, p: InstanceId, a: str, q: InstanceId, b: str) -> bool:
-        return (p, a, q, b) in self.families or (q, b, p, a) in self.families
+    def __init__(self):
+        self.families: set[_Edge] = set()
+        self.adj: dict[int, dict[int, int]] = {}
+        self.pred: dict[int, dict[int, int]] = {}
+        self.degree: dict[tuple[int, str], int] = {}
+        self._types: list[str] = []
+
+    def reset(self, types: list[str], edges=()) -> None:
+        """Hold exactly edges over instances of the given types. The
+        containers are emptied in place: compiled clauses hold them."""
+        for part in (self.families, self.adj, self.pred, self.degree):
+            part.clear()
+        self._types = types
+        for edge in edges:
+            self.add(edge)
+
+    def add(self, edge: _Edge) -> None:
+        self.families.add(edge)
+        self._link(edge.src, edge.dst, 1)
+
+    def remove(self, edge: _Edge) -> None:
+        self.families.discard(edge)
+        self._link(edge.src, edge.dst, -1)
+
+    def _link(self, u: int, v: int, step: int) -> None:
+        """Several port families can join the same two instances: u and v
+        become or stop being neighbours only with the first or last edge
+        between them in either direction."""
+        out, into = self.adj.setdefault(u, {}), self.pred.setdefault(v, {})
+        n = out.get(v, 0) + step
+        if n:
+            out[v] = into[u] = n
+        else:
+            del out[v], into[u]
+        if n == (1 if step > 0 else 0) and u not in self.adj.get(v, ()):
+            degree, types = self.degree, self._types
+            for key in ((u, types[v]), (v, types[u])):
+                degree[key] = degree.get(key, 0) + step
+
+
+class _View:
+    """What the compiled clauses read. The solver mutates its view in
+    place; check builds an exact one per configuration.
+
+    Host variables hold host positions and instance variables instance
+    numbers. lo[t][h] and hi[t][h] bound the number of t instances on host
+    h; members[t] lists the instances of type t; sure holds the included
+    edges and possible those not yet excluded. move is the solver's wiring
+    decision that led to the node being evaluated: True for an include,
+    False for an exclude, None otherwise."""
+
+    def __init__(self, host_names: list[str], lo: dict[str, list[int]],
+                 hi: dict[str, list[int]]):
+        self.host_names = host_names
+        self.hosts = range(len(host_names))
+        self.zeros = [0] * len(host_names)
+        self.lo, self.hi = lo, hi
+        self.members: dict[str, list[int]] = {}
+        self.sure = _EdgeSet()
+        self.possible = _EdgeSet()
+        self.move: bool | None = None
+
+    def counts(self, type_name: str) -> tuple[list[int], list[int]]:
+        """lo and hi of a type; a type without counts has no instance."""
+        return (self.lo.get(type_name, self.zeros),
+                self.hi.get(type_name, self.zeros))
+
+    def place(self, placement, candidates: list[_Edge]) -> None:
+        """Show the solver's complete placement with no edge included or
+        excluded."""
+        for type_name, lo in self.lo.items():
+            hi = self.hi[type_name]
+            for h, host in enumerate(self.host_names):
+                lo[h] = hi[h] = placement.counts.get((host, type_name), 0)
+        for type_name, members in self.members.items():
+            members[:] = placement.by_type.get(type_name, ())
+        self.sure.reset(placement.types)
+        self.possible.reset(placement.types, candidates)
+        self.move = None
+
+
+# (lo1, hi1, lo2, hi2) -> True when lhs op rhs holds for every pair of values
+# in the two intervals, False when for none, None otherwise.
+_DECIDE = {
+    "<=": lambda a, b, c, d: True if b <= c else False if a > d else None,
+    "<": lambda a, b, c, d: True if b < c else False if a >= d else None,
+    ">=": lambda a, b, c, d: True if a >= d else False if b < c else None,
+    ">": lambda a, b, c, d: True if a > d else False if b <= c else None,
+    "=": lambda a, b, c, d: (False if b < c or d < a
+                             else True if a == b == c == d else None),
+    "!=": lambda a, b, c, d: (True if b < c or d < a
+                              else False if a == b == c == d else None),
+}
+
+
+def _compile(expr, view: _View, scope: dict[str, int], env: list):
+    """expr, from a validated document, as a closure returning True (in
+    every completion of the view), False (in none) or None (not yet known).
+
+    scope maps each bound variable to its slot in env. Every predicate is
+    monotone in the counts and the edge set, so reading counts as intervals
+    and edges as sure/possible gives a definite value only when it holds in
+    every completion."""
+    if isinstance(expr, Quantified):
+        return _compile_quantified(expr, view, scope, env)
+    if isinstance(expr, (And, Or)):
+        items = [_compile(item, view, scope, env) for item in expr.items]
+        return _fold(items, isinstance(expr, And))
+    if isinstance(expr, Compare):
+        return _compile_compare(expr, view, scope, env)
+    if isinstance(expr, ConnectsTo):
+        p, q = scope[expr.src.var], scope[expr.dst.var]
+        a, b = expr.src.port, expr.dst.port
+        sure, possible = view.sure.families, view.possible.families
+
+        def connects():
+            u, v = env[p], env[q]
+            if (u, a, v, b) in sure or (v, b, u, a) in sure:
+                return True
+            if (u, a, v, b) in possible or (v, b, u, a) in possible:
+                return None
+            return False
+        return connects
+    if isinstance(expr, Reachable):
+        a, b = scope[expr.a], scope[expr.b]
+        sure_adj, possible_adj = view.sure.adj, view.possible.adj
+
+        def reachable():
+            u, v = env[a], env[b]
+            if has_path(sure_adj, u, v):
+                return True
+            return None if has_path(possible_adj, u, v) else False
+        return reachable
+    raise EvalTypeError(f"not a constraint expression: {expr!r}")
+
+
+def _fold(items: list, conjunction: bool):
+    """and/or over compiled items, stopping at the first deciding value."""
+    stop = not conjunction
+
+    def fold():
+        unknown = False
+        for item in items:
+            v = item()
+            if v is stop:
+                return stop
+            if v is None:
+                unknown = True
+        return None if unknown else conjunction
+    fold.items = items  # for _witness
+    return fold
+
+
+def _compile_quantified(expr: Quantified, view: _View, scope, env):
+    """Binders the body does not mention are dropped (miniscoping): they
+    only repeat the body's value, unless their range is empty, which makes
+    the quantifier vacuous. Ranges change between placements, so that
+    emptiness is read when the quantifier runs."""
+    free = free_vars(expr.body)
+    inner = dict(scope)
+    first = len(env)
+    live, dead = [], []
+    for b in expr.binders:
+        values = (view.hosts if b.sort == HOST_SORT
+                  else view.members.setdefault(b.sort, []))
+        if b.var in free:
+            inner[b.var] = len(env)
+            env.append(None)
+            live.append(values)
+        else:
+            dead.append(values)
+    end = len(env)
+    body = _compile(expr.body, view, inner, env)
+    forall = expr.kind == "forall"
+    stop = not forall  # the body value that decides the quantifier
+
+    def quantified():
+        for values in dead:
+            if not values:
+                return forall
+        unknown = False
+        for combo in itertools.product(*live):
+            env[first:end] = combo
+            v = body()
+            if v is stop:
+                return stop
+            if v is None:
+                unknown = True
+        return None if unknown else forall
+    quantified.body, quantified.first = body, first  # for _witness
+    return quantified
+
+
+def _compile_compare(expr: Compare, view: _View, scope, env):
+    if isinstance(expr.lhs, Var) or isinstance(expr.rhs, Var):
+        if expr.op not in ("=", "!="):
+            raise EvalTypeError("ordering comparison needs integer operands")
+        if type(expr.lhs) is not type(expr.rhs):
+            raise EvalTypeError("cannot compare a value with an integer")
+        a, b = scope[expr.lhs.name], scope[expr.rhs.name]
+        equal = expr.op == "="
+        return lambda: (env[a] == env[b]) is equal
+    lhs, rhs = (_compile_count(v, view, scope, env) for v in (expr.lhs, expr.rhs))
+    decide = _DECIDE[expr.op]
+
+    def compare():
+        lo1, hi1 = lhs()
+        lo2, hi2 = rhs()
+        return decide(lo1, hi1, lo2, hi2)
+    return compare
+
+
+def _compile_count(value, view: _View, scope, env):
+    """An integer operand as a closure returning its interval (lo, hi)."""
+    if isinstance(value, IntLiteral):
+        pair = (value.value, value.value)
+        return lambda: pair
+    inner = value.inner
+    if isinstance(inner, InstancesOf):
+        h = scope[inner.host_var]
+        lo, hi = view.counts(inner.type_name)
+        return lambda: (lo[env[h]], hi[env[h]])
+    peer = scope[inner.peer_var]
+    sure, possible = view.sure.degree, view.possible.degree
+    type_name = inner.type_name
+
+    def card():
+        key = (env[peer], type_name)
+        return (sure.get(key, 0), possible.get(key, 0))
+    return card
 
 
 def has_path(adj, a, b) -> bool:
     """True iff a directed path in adj (node -> successors) leads from a to
-    b; reflexive. The solver's compiled clauses share it."""
+    b; reflexive."""
     if a == b:
         return True
     seen = {a}
@@ -125,127 +345,71 @@ def has_path(adj, a, b) -> bool:
     return False
 
 
-def _value(expr, env: Environment, ctx: _Context):
-    if isinstance(expr, IntLiteral):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            raise EvalTypeError(f"unbound variable {expr.name}")
-        return env[expr.name]
-    if isinstance(expr, Card):
-        inner = expr.inner
-        if isinstance(inner, InstancesOf):
-            bound = env.get(inner.host_var)
-            if not isinstance(bound, HostBinding):
-                raise EvalTypeError(
-                    f"instancesof needs a host, {inner.host_var} is not one")
-            return ctx.on_host[(bound.host, inner.type_name)]
-        bound = env.get(inner.peer_var)
-        if not isinstance(bound, InstanceBinding):
-            raise EvalTypeError(
-                f"connectedto needs an instance, {inner.peer_var} is not one")
-        peers = ctx.neighbours.get(bound.instance, set())
-        return sum(1 for i in ctx.by_type.get(inner.type_name, ())
-                   if i.instance in peers)
-    raise EvalTypeError(f"not a value expression: {expr!r}")
-
-
-def _compare(op: str, lhs, rhs) -> bool:
-    lhs_int = isinstance(lhs, int)
-    rhs_int = isinstance(rhs, int)
-    if op in ("<", "<=", ">", ">="):
-        if not (lhs_int and rhs_int):
-            raise EvalTypeError("ordering comparison needs integer operands")
-        return {"<": lhs < rhs, "<=": lhs <= rhs,
-                ">": lhs > rhs, ">=": lhs >= rhs}[op]
-    if lhs_int != rhs_int:
-        raise EvalTypeError("cannot compare a value with an integer")
-    if not lhs_int and type(lhs) is not type(rhs):
-        raise EvalTypeError("cannot compare a host with an instance")
-    return (lhs == rhs) if op == "=" else (lhs != rhs)
-
-
-def _instance_of(env: Environment, var: str) -> InstanceId:
-    bound = env.get(var)
-    if not isinstance(bound, InstanceBinding):
-        raise EvalTypeError(f"{var} is not bound to an instance")
-    return bound.instance
-
-
-def _eval(expr, env: Environment, ctx: _Context) -> tuple[bool, Environment]:
-    """Evaluate expr; on falsehood also return the witness environment.
-
-    The witness is the environment at the first falsifying assignment in
-    canonical enumeration order (for `or`, the first disjunct's witness).
-    """
-    if isinstance(expr, Quantified):
-        names = [b.var for b in expr.binders]
-        # A binder the body does not mention only repeats the body's value,
-        # so its first value stands for its whole range (miniscoping), and an
-        # empty range still leaves no assignment. The first falsifying
-        # assignment in canonical order has such a binder at its first value,
-        # so the witness is the one the full product would report.
-        free = ctx.free_in_body(expr)
-        ranges = [ctx.hosts if b.sort == HOST_SORT
-                  else ctx.by_type.get(b.sort, []) for b in expr.binders]
-        ranges = [r if b.var in free else r[:1]
-                  for b, r in zip(expr.binders, ranges)]
-        # A flat product, not a recursive generator closure: such a closure
-        # is a reference cycle that holds ctx until the cycle collector runs.
-        assignments = ({**env, **dict(zip(names, combo))}
-                       for combo in itertools.product(*ranges))
-        if expr.kind == "forall":
-            for env2 in assignments:
-                ok, witness = _eval(expr.body, env2, ctx)
-                if not ok:
-                    return False, witness
-            return True, env
-        for env2 in assignments:
-            ok, _ = _eval(expr.body, env2, ctx)
-            if ok:
-                return True, env
-        return False, env
-    if isinstance(expr, And):
-        for item in expr.items:
-            ok, witness = _eval(item, env, ctx)
-            if not ok:
-                return False, witness
-        return True, env
-    if isinstance(expr, Or):
-        first_witness: Environment | None = None
-        for item in expr.items:
-            ok, witness = _eval(item, env, ctx)
-            if ok:
-                return True, env
-            if first_witness is None:
-                first_witness = witness
-        return False, first_witness if first_witness is not None else env
-    if isinstance(expr, Compare):
-        ok = _compare(expr.op,
-                      _value(expr.lhs, env, ctx),
-                      _value(expr.rhs, env, ctx))
-        return ok, env
-    if isinstance(expr, ConnectsTo):
-        p = _instance_of(env, expr.src.var)
-        q = _instance_of(env, expr.dst.var)
-        return ctx.connected(p, expr.src.port, q, expr.dst.port), env
-    if isinstance(expr, Reachable):
-        a = _instance_of(env, expr.a)
-        b = _instance_of(env, expr.b)
-        return ctx.reachable(a, b), env
-    raise EvalTypeError(f"not a constraint expression: {expr!r}")
-
-
 def check(config: Configuration, cs: ConstraintSet,
           doc: SpecDocument) -> CheckResult:
-    """Evaluate every constraint; report one witness per violated clause."""
-    ctx = _Context(config)
+    """Evaluate every constraint; report one witness per violated clause.
+
+    Defined for a configuration that model.validate accepts against doc;
+    every caller validates first. The constraints compile over the
+    configuration's exact view: per host and type, lo == hi == the number
+    of instances; members lists each type's instances in configuration
+    order; sure and possible are both its channels."""
+    names = [h.name for h in config.hosts]
+    position = {name: h for h, name in enumerate(names)}
+    number = {inst.id: n for n, inst in enumerate(config.instances)}
+    types = [inst.type for inst in config.instances]
+    counts: dict[str, list[int]] = {}
+    view = _View(names, counts, counts)
+    for n, inst in enumerate(config.instances):
+        counts.setdefault(inst.type, [0] * len(names))[position[inst.id.host]] += 1
+        view.members.setdefault(inst.type, []).append(n)
+    view.sure.reset(types, (_Edge(number[ch.src.instance], ch.src.port,
+                                  number[ch.dst.instance], ch.dst.port)
+                            for ch in config.channels))
+    view.possible = view.sure
     violations: list[Violation] = []
+    env: list = []
     for index, constraint in enumerate(cs.constraints):
-        ok, witness = _eval(constraint, {}, ctx)
-        if not ok:
-            violations.append(Violation(index, tuple(witness.items())))
+        closure = _compile(constraint, view, {}, env)
+        if not closure():
+            violations.append(Violation(
+                index, _witness(constraint, closure, view, env, config)))
     return CheckResult(not violations, tuple(violations))
+
+
+def _witness(expr, closure, view: _View, env: list,
+             config: Configuration) -> tuple:
+    """The bindings of the first falsifying assignment of expr, whose
+    closure has just returned False on the exact view.
+
+    A False forall stops at its first assignment whose body is False, so
+    its slots in env still hold that assignment, and so do those of the
+    quantifiers below it on the way to the false leaf. The walk reads them:
+    at a forall, its binders in order (a binder the body does not mention,
+    and so has no slot, at its first value); at an `and`, it descends into
+    the first item that is False; at an `or`, into the first item (all are
+    False). An exists or a leaf ends the walk."""
+    bound: list = []
+    while True:
+        if isinstance(expr, And):
+            expr, closure = next((item, c) for item, c in
+                                 zip(expr.items, closure.items) if not c())
+        elif isinstance(expr, Or):
+            expr, closure = expr.items[0], closure.items[0]
+        elif isinstance(expr, Quantified) and expr.kind == "forall":
+            free = free_vars(expr.body)
+            slot = closure.first
+            for b in expr.binders:
+                if b.var in free:
+                    v, slot = env[slot], slot + 1
+                else:
+                    v = 0 if b.sort == HOST_SORT else view.members[b.sort][0]
+                bound.append((b.var, HostBinding(config.hosts[v].name)
+                              if b.sort == HOST_SORT
+                              else InstanceBinding(config.instances[v].id)))
+            expr, closure = expr.body, closure.body
+        else:
+            return tuple(bound)
 
 
 def reachable(config: Configuration, a: InstanceId, b: InstanceId) -> bool:
@@ -254,12 +418,15 @@ def reachable(config: Configuration, a: InstanceId, b: InstanceId) -> bool:
     for x in (a, b):
         if x not in ids:
             raise UnknownInstance(str(x))
-    return _Context(config).reachable(a, b)
+    adj: dict[InstanceId, set[InstanceId]] = {}
+    for ch in config.channels:
+        adj.setdefault(ch.src.instance, set()).add(ch.dst.instance)
+    return has_path(adj, a, b)
 
 
 def connected_instances(config: Configuration, x: InstanceId) -> set[InstanceId]:
     """All instances sharing at least one channel with x, either direction."""
     if x not in set(config.instance_ids()):
         raise UnknownInstance(str(x))
-    ctx = _Context(config)
-    return set(ctx.neighbours.get(x, set()))
+    return ({ch.dst.instance for ch in config.channels if ch.src.instance == x}
+            | {ch.src.instance for ch in config.channels if ch.dst.instance == x})

@@ -335,19 +335,13 @@ class Reachable(NamedTuple):
 ConstraintExpr = Quantified | And | Or | Compare | ConnectsTo | Reachable
 
 
-def free_vars(expr: ConstraintExpr,
-              bodies: dict[int, set[str]] | None = None) -> set[str]:
+def free_vars(expr: ConstraintExpr) -> set[str]:
     """The variables expr reads that no quantifier inside it binds. The
-    counted variable of `card(T v connectedto p)` is bound by the card.
-    bodies, if given, also gets under id(q) the free variables of the body
-    of every quantifier q in expr, expr included, from the same walk."""
+    counted variable of `card(T v connectedto p)` is bound by the card."""
     if isinstance(expr, Quantified):
-        free = free_vars(expr.body, bodies)
-        if bodies is not None:
-            bodies[id(expr)] = free
-        return free - {b.var for b in expr.binders}
+        return free_vars(expr.body) - {b.var for b in expr.binders}
     if isinstance(expr, (And, Or)):
-        return set().union(*(free_vars(item, bodies) for item in expr.items))
+        return set().union(*(free_vars(item) for item in expr.items))
     if isinstance(expr, ConnectsTo):
         return {expr.src.var, expr.dst.var}
     if isinstance(expr, Reachable):
@@ -821,8 +815,8 @@ def _check_expr(expr: ConstraintExpr, env: dict[str, str],
         for item in expr.items:
             _check_expr(item, env, doc, cs_name)
     elif isinstance(expr, Compare):
-        lk = _value_kind(expr.lhs, env, doc, where)
-        rk = _value_kind(expr.rhs, env, doc, where)
+        lk = _operand_kind(expr.lhs, env, doc, where)
+        rk = _operand_kind(expr.rhs, env, doc, where)
         if expr.op in ("<", "<=", ">", ">="):
             if lk != "int" or rk != "int":
                 raise ValidationError(
@@ -856,8 +850,8 @@ def _lookup(var: str, env: dict[str, str], where: str) -> str:
     return env[var]
 
 
-def _value_kind(value: ValueExpr, env: dict[str, str],
-                doc: SpecDocument, where: str) -> str:
+def _operand_kind(value: ValueExpr, env: dict[str, str],
+                  doc: SpecDocument, where: str) -> str:
     if isinstance(value, IntLiteral):
         return "int"
     if isinstance(value, Card):

@@ -248,11 +248,6 @@ def bindings_of(config: Configuration) -> list[Binding]:
     return [Binding(type_, host, n) for (host, type_), n in ordered]
 
 
-def binding_sort_key(binding: Binding, doc: SpecDocument) -> tuple[int, str, str]:
-    host_pos = {h.name: i for i, h in enumerate(doc.hosts)}
-    return (host_pos.get(binding.host, len(host_pos)), binding.host, binding.type)
-
-
 def restrict_to_hosts(config: Configuration, keep: set[str]) -> Configuration:
     """Drop instances outside `keep` and every channel touching them."""
     hosts = tuple(h for h in config.hosts if h.name in keep)

@@ -1,11 +1,12 @@
 """Configuration search: find placements and wirings satisfying a goal.
 
 The search runs in two phases, both depth-first and both pruned by a
-three-valued evaluation of the constraints, compiled once per search into
-closures over the state the search mutates (_View): False means false in
-every completion of the current node, True means true in every completion.
-A quantifier drops the binders its body does not mention while their range
-is non-empty (miniscoping), so nested quantifiers cost linear time.
+three-valued evaluation of the constraints, compiled once per search by
+the evaluator's compile layer into closures over the state the search
+mutates (evaluator._View): False means false in every completion of the
+current node, True means true in every completion. A quantifier drops the
+binders its body does not mention while their range is non-empty
+(miniscoping), so nested quantifiers cost linear time.
 
 Ground items. A top-level `forall` whose body mentions its first binder is
 split into one item per value of that binder: a host position while
@@ -72,8 +73,12 @@ so no two search leaves materialize the same configuration. Pruning only
 skips subtrees without solutions, so the solution sequence is that of the
 unpruned search.
 
-enumerate_all is the independent oracle: exhaustive generate-and-test over
-the same bounded space using only evaluator.check.
+Every solution is checked again by model.validate and evaluator.check,
+which runs the same compiled clauses on the complete configuration.
+enumerate_all is exhaustive generate-and-test over the same bounded space,
+judged by evaluator.check. Neither is independent of the search's
+semantics: the tests judge solve, check and enumerate_all against a
+separate reference walker.
 """
 
 from __future__ import annotations
@@ -85,12 +90,13 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import evaluator
+from .evaluator import _Edge, _View, _compile
 from .lang import (And, Card, Compare, ConnectedTo, ConnectsTo, ConstraintSet,
                    DeladasError, HOST_SORT, InstancesOf, IntLiteral, Or,
-                   Quantified, Reachable, SpecDocument, ValidationError, Var,
+                   Quantified, Reachable, SpecDocument, ValidationError,
                    free_vars, record)
 from .model import (Binding, Channel, Configuration, Instance, InstanceId,
-                    PortSlot, binding_sort_key, validate)
+                    PortSlot, validate)
 
 
 class UnknownConstraintSet(DeladasError):
@@ -152,18 +158,6 @@ class SolveOutcome(NamedTuple):
 # Oracle guards: refuse exhaustive enumeration beyond these.
 ORACLE_MAX_HOSTS_TIMES_TYPES = 12
 ORACLE_MAX_CANDIDATES = 24
-
-
-class _Edge(NamedTuple):
-    """A candidate channel between two numbered instances of a _Placement,
-    at port-family level (indices assigned later).
-
-    The tuple itself is the port family the compiled clauses look up."""
-
-    src: int
-    src_port: str
-    dst: int
-    dst_port: str
 
 
 def _check_options(doc: SpecDocument, opts: SolveOptions) -> SolveOptions:
@@ -348,239 +342,6 @@ def _candidate_edges(placement: _Placement,
     names = placement.names
     return sorted(edges, key=lambda e: (names[e.src], e.src_port,
                                         names[e.dst], e.dst_port))
-
-
-class _EdgeSet:
-    """A set of candidate edges in the shapes the compiled clauses read:
-    port families, directed adjacency (successor -> number of edges) and
-    its reverse (predecessor -> number of edges), and per (instance, type)
-    the number of distinct neighbours of that type."""
-
-    def __init__(self):
-        self.families: set[_Edge] = set()
-        self.adj: dict[int, dict[int, int]] = {}
-        self.pred: dict[int, dict[int, int]] = {}
-        self.degree: dict[tuple[int, str], int] = {}
-        self._types: list[str] = []
-
-    def reset(self, types: list[str], edges=()) -> None:
-        """Hold exactly edges over instances of the given types. The
-        containers are emptied in place: compiled clauses hold them."""
-        for part in (self.families, self.adj, self.pred, self.degree):
-            part.clear()
-        self._types = types
-        for edge in edges:
-            self.add(edge)
-
-    def add(self, edge: _Edge) -> None:
-        self.families.add(edge)
-        self._link(edge.src, edge.dst, 1)
-
-    def remove(self, edge: _Edge) -> None:
-        self.families.discard(edge)
-        self._link(edge.src, edge.dst, -1)
-
-    def _link(self, u: int, v: int, step: int) -> None:
-        """Several port families can join the same two instances: u and v
-        become or stop being neighbours only with the first or last edge
-        between them in either direction."""
-        out, into = self.adj.setdefault(u, {}), self.pred.setdefault(v, {})
-        n = out.get(v, 0) + step
-        if n:
-            out[v] = into[u] = n
-        else:
-            del out[v], into[u]
-        if n == (1 if step > 0 else 0) and u not in self.adj.get(v, ()):
-            degree, types = self.degree, self._types
-            for key in ((u, types[v]), (v, types[u])):
-                degree[key] = degree.get(key, 0) + step
-
-
-class _View:
-    """What the compiled clauses read. The search mutates it in place.
-
-    Host variables hold host positions and instance variables instance
-    numbers. lo[t][h] and hi[t][h] bound the number of t instances on host
-    h (an unplaced host reads [pin floor, per-host bound]); members[t] lists
-    the instances of type t; sure holds the included edges and possible
-    those not yet excluded (both empty while placing). move is the wiring
-    decision that led to the node being evaluated: True for an include, False
-    for an exclude, None at a wiring root."""
-
-    def __init__(self, doc: SpecDocument, floors: dict[str, dict[str, int]],
-                 per_host: int):
-        self.host_names = [h.name for h in doc.hosts]
-        self.hosts = range(len(doc.hosts))
-        self.zeros = [0] * len(doc.hosts)
-        self.lo = {c.name: [floors.get(h, {}).get(c.name, 0)
-                            for h in self.host_names] for c in doc.components}
-        self.hi = {c.name: [per_host] * len(doc.hosts) for c in doc.components}
-        self.members: dict[str, list[int]] = {}
-        self.sure = _EdgeSet()
-        self.possible = _EdgeSet()
-        self.move: bool | None = None
-
-    def counts(self, type_name: str) -> tuple[list[int], list[int]]:
-        """lo and hi of a type; an undeclared type has no instance anywhere."""
-        return (self.lo.get(type_name, self.zeros),
-                self.hi.get(type_name, self.zeros))
-
-    def place(self, placement: _Placement, candidates: list[_Edge]) -> None:
-        """Show a complete placement with no edge included or excluded."""
-        for type_name, lo in self.lo.items():
-            hi = self.hi[type_name]
-            for h, host in enumerate(self.host_names):
-                lo[h] = hi[h] = placement.counts.get((host, type_name), 0)
-        for type_name, members in self.members.items():
-            members[:] = placement.by_type.get(type_name, ())
-        self.sure.reset(placement.types)
-        self.possible.reset(placement.types, candidates)
-        self.move = None
-
-
-# (lo1, hi1, lo2, hi2) -> True when lhs op rhs holds for every pair of values
-# in the two intervals, False when for none, None otherwise.
-_DECIDE = {
-    "<=": lambda a, b, c, d: True if b <= c else False if a > d else None,
-    "<": lambda a, b, c, d: True if b < c else False if a >= d else None,
-    ">=": lambda a, b, c, d: True if a >= d else False if b < c else None,
-    ">": lambda a, b, c, d: True if a > d else False if b <= c else None,
-    "=": lambda a, b, c, d: (False if b < c or d < a
-                             else True if a == b == c == d else None),
-    "!=": lambda a, b, c, d: (True if b < c or d < a
-                              else False if a == b == c == d else None),
-}
-
-
-def _compile(expr, view: _View, scope: dict[str, int], env: list):
-    """expr, from a validated document, as a closure returning True (in
-    every completion of the view), False (in none) or None (not yet known).
-
-    scope maps each bound variable to its slot in env. Every predicate is
-    monotone in the counts and the edge set, so reading counts as intervals
-    and edges as sure/possible gives a definite value only when it holds in
-    every completion."""
-    if isinstance(expr, Quantified):
-        return _compile_quantified(expr, view, scope, env)
-    if isinstance(expr, (And, Or)):
-        items = [_compile(item, view, scope, env) for item in expr.items]
-        return _fold(items, isinstance(expr, And))
-    if isinstance(expr, Compare):
-        return _compile_compare(expr, view, scope, env)
-    if isinstance(expr, ConnectsTo):
-        p, q = scope[expr.src.var], scope[expr.dst.var]
-        a, b = expr.src.port, expr.dst.port
-        sure, possible = view.sure.families, view.possible.families
-
-        def connects():
-            u, v = env[p], env[q]
-            if (u, a, v, b) in sure or (v, b, u, a) in sure:
-                return True
-            if (u, a, v, b) in possible or (v, b, u, a) in possible:
-                return None
-            return False
-        return connects
-    if isinstance(expr, Reachable):
-        a, b = scope[expr.a], scope[expr.b]
-        sure_adj, possible_adj = view.sure.adj, view.possible.adj
-
-        def reachable():
-            u, v = env[a], env[b]
-            if evaluator.has_path(sure_adj, u, v):
-                return True
-            return None if evaluator.has_path(possible_adj, u, v) else False
-        return reachable
-    raise DeladasError(f"not a constraint expression: {expr!r}")
-
-
-def _fold(items: list, conjunction: bool):
-    """and/or over compiled items, stopping at the first deciding value."""
-    stop = not conjunction
-
-    def fold():
-        unknown = False
-        for item in items:
-            v = item()
-            if v is stop:
-                return stop
-            if v is None:
-                unknown = True
-        return None if unknown else conjunction
-    return fold
-
-
-def _compile_quantified(expr: Quantified, view: _View, scope, env):
-    """Binders the body does not mention are dropped (miniscoping): they
-    only repeat the body's value, unless their range is empty, which makes
-    the quantifier vacuous. Ranges change between placements, so that
-    emptiness is read when the quantifier runs."""
-    free = free_vars(expr.body)
-    inner = dict(scope)
-    first = len(env)
-    live, dead = [], []
-    for b in expr.binders:
-        values = (view.hosts if b.sort == HOST_SORT
-                  else view.members.setdefault(b.sort, []))
-        if b.var in free:
-            inner[b.var] = len(env)
-            env.append(None)
-            live.append(values)
-        else:
-            dead.append(values)
-    end = len(env)
-    body = _compile(expr.body, view, inner, env)
-    forall = expr.kind == "forall"
-    stop = not forall  # the body value that decides the quantifier
-
-    def quantified():
-        for values in dead:
-            if not values:
-                return forall
-        unknown = False
-        for combo in itertools.product(*live):
-            env[first:end] = combo
-            v = body()
-            if v is stop:
-                return stop
-            if v is None:
-                unknown = True
-        return None if unknown else forall
-    return quantified
-
-
-def _compile_compare(expr: Compare, view: _View, scope, env):
-    if isinstance(expr.lhs, Var):  # validation: then both are, and = or !=
-        a, b = scope[expr.lhs.name], scope[expr.rhs.name]
-        equal = expr.op == "="
-        return lambda: (env[a] == env[b]) is equal
-    lhs, rhs = (_compile_count(v, view, scope, env) for v in (expr.lhs, expr.rhs))
-    decide = _DECIDE[expr.op]
-
-    def compare():
-        lo1, hi1 = lhs()
-        lo2, hi2 = rhs()
-        return decide(lo1, hi1, lo2, hi2)
-    return compare
-
-
-def _compile_count(value, view: _View, scope, env):
-    """An integer operand as a closure returning its interval (lo, hi)."""
-    if isinstance(value, IntLiteral):
-        pair = (value.value, value.value)
-        return lambda: pair
-    inner = value.inner
-    if isinstance(inner, InstancesOf):
-        h = scope[inner.host_var]
-        lo, hi = view.counts(inner.type_name)
-        return lambda: (lo[env[h]], hi[env[h]])
-    peer = scope[inner.peer_var]
-    sure, possible = view.sure.degree, view.possible.degree
-    type_name = inner.type_name
-
-    def card():
-        key = (env[peer], type_name)
-        return (sure.get(key, 0), possible.get(key, 0))
-    return card
 
 
 class _Clause(NamedTuple):
@@ -774,7 +535,13 @@ class _Search:
             i for i, p in enumerate(placing) if not p)
         self.bounds = cardinality_bounds(cs)
         self.bound_cuts = 0
-        self.view = _View(doc, self.pin_floors, opts.max_instances_per_host)
+        hosts = [h.name for h in doc.hosts]
+        # An unplaced host reads [pin floor, per-host bound].
+        self.view = _View(
+            hosts, {c.name: [self.pin_floors.get(h, {}).get(c.name, 0)
+                             for h in hosts] for c in doc.components},
+            {c.name: [opts.max_instances_per_host] * len(hosts)
+             for c in doc.components})
         self.env: list = [None]
         self.clauses = [_compile_clause(c, self.view, self.env, p)
                         for c, p in zip(cs.constraints, placing)]
@@ -1007,9 +774,9 @@ def solve(doc: SpecDocument, cs_name: str,
           opts: SolveOptions | None = None) -> SolveOutcome:
     """Search for configurations satisfying the named constraintset.
 
-    Sound (every solution passes evaluator.check and honors pins as floors)
-    and bounded-complete: with exhausted True and no solutions, nothing in
-    the bounded space satisfies the goal.
+    Sound (every solution is valid, satisfies the goal and honors pins as
+    floors) and bounded-complete: with exhausted True and no solutions,
+    nothing in the bounded space satisfies the goal.
     """
     opts = _check_options(doc, opts or SolveOptions())
     cs = doc.constraintset(cs_name)
@@ -1049,7 +816,9 @@ def resolve_with_relaxation(doc: SpecDocument, cs_name: str,
     and options raise before any subset is skipped.
     """
     opts = opts or SolveOptions()
-    ordered = tuple(sorted(pins, key=lambda b: binding_sort_key(b, doc)))
+    position = {h.name: i for i, h in enumerate(doc.hosts)}
+    ordered = tuple(sorted(pins, key=lambda b: (
+        position.get(b.host, len(position)), b.host, b.type)))
     cs = doc.constraintset(cs_name)
     bounds = cardinality_bounds(cs) if cs is not None else []
     hosts, per_host = len(doc.hosts), opts.max_instances_per_host
@@ -1085,11 +854,11 @@ def resolve_with_relaxation(doc: SpecDocument, cs_name: str,
 
 def enumerate_all(doc: SpecDocument, cs_name: str,
                   opts: SolveOptions | None = None) -> SolveOutcome:
-    """Exhaustive generate-and-test oracle over the bounded space.
+    """Exhaustive generate-and-test over the bounded space.
 
-    Independent of the solver: every structurally valid placement/wiring in
-    the space (the solver's, with placement.max_channels channels at most)
-    is materialized and judged by evaluator.check alone. Its
+    Every structurally valid placement/wiring in the space (the solver's,
+    with placement.max_channels channels at most) is materialized and
+    judged by evaluator.check alone, without the search's pruning. Its
     placement_nodes count every placement in the bounded space.
     """
     opts = _check_options(doc, opts or SolveOptions())

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 
 import generators
 import helpers
+import oracle
 from deladas import (cli, ddd, evaluator, fabric as fabric_mod, lang, madme,
                      model, solver)
 from deladas.model import Binding, InstanceId
@@ -57,7 +58,7 @@ def test_02_example_configuration_reproduction():
         doc = helpers.merged_doc()
         example = helpers.example_configuration()
         assert model.validate(example, doc) == []
-        assert evaluator.check(example, doc.constraintset("randc"), doc).satisfied
+        assert oracle.check(example, doc.constraintset("randc"), doc).satisfied
         pins = (Binding("Router", "h3", 1), Binding("Router", "h4", 1))
         out = solver.solve(doc, "randc", solver.SolveOptions(pins=pins))
         assert len(out.solutions) == 1
@@ -67,11 +68,11 @@ def test_02_example_configuration_reproduction():
 def test_03_solver_soundness_and_completeness():
     with criterion(3, "solver soundness and bounded completeness", 60.0):
         doc3 = helpers.three_host_doc()
-        oracle = solver.enumerate_all(doc3, "randc")
+        reference = oracle.enumerate_all(doc3, "randc")
         full = solver.solve(doc3, "randc", solver.SolveOptions(
-            solution_limit=len(oracle.solutions) + 1))
+            solution_limit=len(reference.solutions) + 1))
         assert full.exhausted
-        assert set(full.solutions) == set(oracle.solutions)
+        assert set(full.solutions) == set(reference.solutions)
 
         rng = helpers.rng(103)
         checked = 0
@@ -80,8 +81,8 @@ def test_03_solver_soundness_and_completeness():
             out = solver.solve(doc, "goal", solver.SolveOptions(solution_limit=2))
             for config in out.solutions:
                 assert model.validate(config, doc) == []
-                assert evaluator.check(config, doc.constraintset("goal"),
-                                       doc).satisfied
+                assert oracle.check(config, doc.constraintset("goal"),
+                                    doc).satisfied
                 checked += 1
         assert checked >= 500
 
@@ -109,9 +110,9 @@ def test_04_host_failure_scenario(tmp_path):
         surviving = model.restrict_to_hosts(
             helpers.example_configuration(), {h.name for h in doc5.hosts})
         pins = tuple(model.bindings_of(surviving))
-        oracle = solver.enumerate_all(doc5, "randc",
-                                      solver.SolveOptions(pins=pins))
-        assert oracle.exhausted and oracle.solutions == ()
+        reference = oracle.enumerate_all(doc5, "randc",
+                                         solver.SolveOptions(pins=pins))
+        assert reference.exhausted and reference.solutions == ()
 
 
 def test_05_process_failure_scenario(tmp_path):
@@ -142,8 +143,8 @@ def test_05_process_failure_scenario(tmp_path):
         fab.inject(fabric_mod.CrashProcess(10, InstanceId("Router", "h3", 0)))
         while fab.pending():
             manager.on_events(fab.step())
-        assert evaluator.check(manager.deployed,
-                               doc.constraintset("randc"), doc).satisfied
+        assert oracle.check(manager.deployed,
+                            doc.constraintset("randc"), doc).satisfied
         machine = fab.machine(InstanceId("Router", "h3", 0))
         assert machine.alive and len(machine.channels) == 6
 
@@ -173,8 +174,8 @@ def test_06_constraint_error_path(tmp_path):
             helpers.merged_doc().components,
             (helpers.merged_doc().hosts[0],),
             helpers.merged_doc().constraintsets)
-        oracle = solver.enumerate_all(doc1, "randc")
-        assert oracle.exhausted and oracle.solutions == ()
+        reference = oracle.enumerate_all(doc1, "randc")
+        assert reference.exhausted and reference.solutions == ()
 
 
 def test_07_round_trips():
@@ -265,8 +266,8 @@ def test_10_five_method_protocol(tmp_path):
             assert len(solutions) >= 1
             for text in solutions:
                 config = ddd.from_xml(text.encode(), doc)
-                assert evaluator.check(config, doc.constraintset("randc"),
-                                       doc).satisfied
+                assert oracle.check(config, doc.constraintset("randc"),
+                                    doc).satisfied
 
             before_resources = madme.request(sock, "get-resources")
             before_constraints = madme.request(sock, "get-constraints")

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 import helpers
-from deladas import cli, ddd, evaluator, model
+import oracle
+from deladas import cli, ddd, model
 
 RES = str(helpers.SAMPLES / "resources.deladas")
 CONS = str(helpers.SAMPLES / "constraints.deladas")
@@ -50,8 +51,8 @@ class TestSatisfyCommand:
         doc = helpers.merged_doc()
         for name in files:
             config = ddd.from_xml((out_dir / name).read_bytes(), doc)
-            assert evaluator.check(config, doc.constraintset("randc"),
-                                   doc).satisfied
+            assert oracle.check(config, doc.constraintset("randc"),
+                                doc).satisfied
 
     def test_no_solutions_exits_two(self, tmp_path):
         impossible = tmp_path / "imp.deladas"

@@ -1,10 +1,13 @@
+import ast
 import gc
 import hashlib
+from pathlib import Path
 
 import pytest
 
 import generators
 import helpers
+import oracle
 from deladas import evaluator, lang, model
 from deladas.evaluator import (EvalTypeError, HostBinding, InstanceBinding,
                                UnknownInstance, check, connected_instances,
@@ -66,16 +69,19 @@ class TestCheckExamples:
             finally:
                 gc.enable()
 
-    # Digest of every CheckResult below, recorded before the context counted
-    # instances per type and host once per check.
+    # Digest of every reference CheckResult below, recorded before the
+    # context counted instances per type and host once per check, when the
+    # reference walker was the package's evaluator.
     RESULTS_DIGEST = "8676a1597c67f615"
 
     def test_results_and_witnesses_are_pinned(self):
         """Whole results, violations and witnesses included, of random goals
-        on generator configurations, a third of them broken in one way."""
+        on generator configurations, a third of them broken in one way. The
+        reference walker's results are pinned, broken configurations
+        included, and check equals them on every valid configuration."""
         rng = helpers.rng(137)
         randc = helpers.merged_doc()
-        lines, violated = [], 0
+        lines, violated, valid = [], 0, 0
         for n in range(200):
             doc = randc if n % 4 == 0 else generators.gen_document(rng)
             if not doc.constraintsets:
@@ -86,10 +92,13 @@ class TestCheckExamples:
                 if rng.random() < 0.3:
                     cfg = generators.break_configuration(
                         rng, cfg, doc, rng.choice(generators.BREAKS))
-                result = check(cfg, cs, doc)
+                result = oracle.check(cfg, cs, doc)
                 lines.append(repr(result))
                 violated += len(result.violations)
-        assert len(lines) >= 400 and violated >= 300
+                if not model.validate(cfg, doc):
+                    assert check(cfg, cs, doc) == result
+                    valid += 1
+        assert len(lines) >= 400 and violated >= 300 and valid >= 300
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
         assert digest == self.RESULTS_DIGEST
 
@@ -101,6 +110,29 @@ class TestCheckExamples:
                             lang.Compare("<=", lang.Var("a"), lang.Var("b"))),))
         with pytest.raises(EvalTypeError):
             check(helpers.example_configuration(), cs, doc)
+
+
+class TestReference:
+    """tests/oracle.py is the reference the compiled evaluator is judged
+    by, so it must not borrow the evaluator's compile layer or its path
+    search."""
+
+    BORROWED = ("_compile", "_View", "_EdgeSet", "has_path")
+
+    def test_the_reference_names_no_compiled_evaluator_part(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").startswith("deladas")
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        assert [name for name in self.BORROWED if name in names] == []
+        shared = [name for name, value in vars(oracle).items()
+                  if any(value is getattr(evaluator, part)
+                         for part in self.BORROWED)]
+        assert shared == []
+        assert oracle.has_path is not evaluator.has_path
 
 
 class TestReachable:
@@ -362,7 +394,7 @@ def _a_on(doc, host: str) -> Configuration:
                                [])
 
 
-class _FullProduct(evaluator._Context):
+class _FullProduct(oracle._Context):
     """Tries every value of every binder, as check did before it dropped
     the binders a body does not mention."""
 
@@ -401,6 +433,8 @@ class TestMiniscoping:
         assert check(empty, doc.constraintset("goal"), doc).satisfied is value
 
     def test_verdicts_and_witnesses_match_the_full_product(self):
+        """check and the reference walker, both miniscoped, against the
+        reference walker trying every value of every binder."""
         rng = helpers.rng(83)
         compared = violated = 0
         for _ in range(60):
@@ -411,12 +445,16 @@ class TestMiniscoping:
                 cfg = generators.gen_configuration(rng, doc, max_per_pair=2,
                                                    max_channels=6)
                 for constraint in doc.constraintsets[0].constraints:
-                    got = evaluator._eval(constraint, {},
-                                          evaluator._Context(cfg))
-                    want = evaluator._eval(constraint, {},
-                                           _FullProduct(cfg))
-                    assert got[0] == want[0]
-                    assert list(got[1].items()) == list(want[1].items())
+                    ok, witness = oracle._eval(constraint, {},
+                                               _FullProduct(cfg))
+                    want = (ok, list(witness.items()))
+                    got = oracle._eval(constraint, {}, oracle._Context(cfg))
+                    assert (got[0], list(got[1].items())) == want
+                    result = check(cfg, lang.ConstraintSet("t", (constraint,)),
+                                   doc)
+                    assert (result.satisfied, [list(v.witness) for v in
+                                               result.violations]) == (
+                        ok, [] if ok else [want[1]])
                     compared += 1
-                    violated += not got[0]
+                    violated += not ok
         assert compared >= 150 and violated >= 50

@@ -4,7 +4,8 @@ import threading
 import pytest
 
 import helpers
-from deladas import ddd, evaluator, fabric as fabric_mod, lang, madme, model, solver
+import oracle
+from deladas import ddd, fabric as fabric_mod, lang, madme, model, solver
 from deladas.fabric import AmpReport, CrashHost, CrashProcess, HostFailureSuspected
 from deladas.lang import HostSpec
 from deladas.madme import (ConstraintError, Manager, NoOp, Resolve,
@@ -221,8 +222,8 @@ class TestHostFailure:
         assert [str(b) for b in decision.removed] == ["Client@h1x1"]
         assert [h.name for h in manager.doc.hosts] == [
             "h1", "h2", "h4", "h5", "h6"]
-        result = evaluator.check(manager.deployed,
-                                 manager.doc.constraintset("randc"), manager.doc)
+        result = oracle.check(manager.deployed,
+                              manager.doc.constraintset("randc"), manager.doc)
         assert result.satisfied
         counts = {}
         for b in model.bindings_of(manager.deployed):
@@ -283,8 +284,8 @@ class TestConstraintError:
         # The oracle proves the reduced problem unsatisfiable first.
         manager = self._manager()
         reduced = evolve_resources(manager.doc, {"h3"}, [])
-        oracle = solver.enumerate_all(reduced, "goal")
-        assert oracle.exhausted and oracle.solutions == ()
+        reference = oracle.enumerate_all(reduced, "goal")
+        assert reference.exhausted and reference.solutions == ()
 
         fab = manager.fabric
         deployed_before = manager.deployed
@@ -345,8 +346,8 @@ class TestGoalRestoration:
         while fab.pending():
             manager.on_events(fab.step())
         assert not manager.saw_constraint_error
-        result = evaluator.check(manager.deployed,
-                                 manager.doc.constraintset("randc"), manager.doc)
+        result = oracle.check(manager.deployed,
+                              manager.doc.constraintset("randc"), manager.doc)
         assert result.satisfied
 
 
@@ -395,8 +396,8 @@ class TestRequests:
         doc = helpers.merged_doc()
         for part in parts:
             config = ddd.from_xml(part.encode(), doc)
-            assert evaluator.check(config, doc.constraintset("randc"),
-                                   doc).satisfied
+            assert oracle.check(config, doc.constraintset("randc"),
+                                doc).satisfied
 
     def test_satisfy_with_pins_document(self):
         manager = example_manager()

@@ -16,7 +16,8 @@ import pytest
 
 import generators
 import helpers
-from deladas import evaluator, fabric, model, solver
+import oracle
+from deladas import fabric, model, solver
 from deladas.fabric import AddHost, CrashHost, CrashProcess, Revise
 from deladas.lang import HostSpec
 from deladas.madme import ConstraintError, Manager, Resolve
@@ -44,8 +45,8 @@ def unproven(manager, decision) -> list[str]:
     if len(manager.doc.hosts) > 3:
         return [f"constraint error on {len(manager.doc.hosts)} hosts, "
                 f"too many for the oracle: {decision.detail}"]
-    oracle = solver.enumerate_all(manager.doc, manager.cs_name)
-    if not oracle.exhausted or oracle.solutions:
+    reference = oracle.enumerate_all(manager.doc, manager.cs_name)
+    if not reference.exhausted or reference.solutions:
         return [f"constraint error, but a configuration exists: "
                 f"{decision.detail}"]
     return []
@@ -87,9 +88,9 @@ def run_scenario(doc, events, pins=(), prior=None) -> list[str]:
         if {i.id.host for i in manager.deployed.instances} - {
                 h.name for h in manager.doc.hosts}:
             problems.append("the deployment uses a dropped host")
-        result = evaluator.check(manager.deployed,
-                                 manager.doc.constraintset(manager.cs_name),
-                                 manager.doc)
+        result = oracle.check(manager.deployed,
+                              manager.doc.constraintset(manager.cs_name),
+                              manager.doc)
         if not result.satisfied:
             problems.append("the final deployment violates the goal")
     return problems

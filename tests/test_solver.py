@@ -8,12 +8,13 @@ import pytest
 
 import generators
 import helpers
+import oracle
 from deladas import ddd, evaluator, lang, model, solver
 from deladas.lang import DeladasError
 from deladas.model import Binding
 from deladas.solver import (BoundsError, NoSolution, SearchBudgetExceeded,
                             SolveOptions, SpaceTooLarge, UnknownConstraintSet,
-                            enumerate_all, resolve_with_relaxation, solve)
+                            resolve_with_relaxation, solve)
 
 CONTRADICTION = """
 component Router(code = "u", ports = {rin[], rout[]})
@@ -39,7 +40,7 @@ class TestSolveBasics:
         doc = helpers.merged_doc()
         out = solve(doc, "randc")
         assert len(out.solutions) == 1
-        result = evaluator.check(out.solutions[0], doc.constraintset("randc"), doc)
+        result = oracle.check(out.solutions[0], doc.constraintset("randc"), doc)
         assert result.satisfied
         assert model.validate(out.solutions[0], doc) == []
 
@@ -56,6 +57,18 @@ class TestSolveBasics:
         out = solve(doc, "goal", SolveOptions(solution_limit=5))
         assert out.solutions == ()
         assert out.exhausted
+
+    def test_ordering_on_instances_is_a_type_error(self):
+        """Validation rejects an ordering on variables. In a hand-built
+        goal, solve refuses it as evaluator.check does: both compile the
+        goal with the same clauses."""
+        doc = helpers.three_host_doc()
+        cs = lang.ConstraintSet("broken", (
+            lang.Quantified("forall", (lang.Binder("a", "Client"),
+                                       lang.Binder("b", "Client")),
+                            lang.Compare("<=", lang.Var("a"), lang.Var("b"))),))
+        with pytest.raises(evaluator.EvalTypeError):
+            solve(doc._replace(constraintsets=(cs,)), "broken")
 
     def test_unknown_constraintset(self):
         with pytest.raises(UnknownConstraintSet):
@@ -117,19 +130,19 @@ class TestSolveBasics:
 class TestOracleAgreement:
     def test_three_host_solution_sets_are_equal(self):
         doc3 = helpers.three_host_doc()
-        oracle = enumerate_all(doc3, "randc")
+        reference = oracle.enumerate_all(doc3, "randc")
         full = solve(doc3, "randc",
-                     SolveOptions(solution_limit=len(oracle.solutions) + 1))
+                     SolveOptions(solution_limit=len(reference.solutions) + 1))
         assert full.exhausted
-        assert set(full.solutions) == set(oracle.solutions)
+        assert set(full.solutions) == set(reference.solutions)
         # solution_limit N3+1 returns exactly N3
-        assert len(full.solutions) == len(oracle.solutions)
+        assert len(full.solutions) == len(reference.solutions)
 
     def test_oracle_counts_placement_families(self):
         doc3 = helpers.three_host_doc()
-        oracle = enumerate_all(doc3, "randc")
+        reference = oracle.enumerate_all(doc3, "randc")
         placements = {tuple(str(i.id) for i in s.instances)
-                      for s in oracle.solutions}
+                      for s in reference.solutions}
         # Two routers and one client (three rotations) or three routers.
         assert placements == {
             ("Client@h1#0", "Router@h2#0", "Router@h3#0"),
@@ -146,14 +159,14 @@ class TestOracleAgreement:
         doc = lang.SpecDocument(doc3.components, doc3.hosts, (
             lang.ConstraintSet("hosts", doc3.constraintset("randc")
                                .constraints[:1]),))
-        assert enumerate_all(doc, "hosts").stats.placement_nodes == 27
-        pinned = enumerate_all(doc, "hosts", SolveOptions(
+        assert oracle.enumerate_all(doc, "hosts").stats.placement_nodes == 27
+        pinned = oracle.enumerate_all(doc, "hosts", SolveOptions(
             pins=(Binding("Router", "h1", 1),)))
         assert pinned.stats.placement_nodes == 9
 
     def test_unsatisfiable_oracle(self):
         doc = lang.parse(CONTRADICTION)
-        out = enumerate_all(doc, "goal")
+        out = oracle.enumerate_all(doc, "goal")
         assert out.solutions == ()
         assert out.exhausted
 
@@ -164,13 +177,13 @@ class TestOracleAgreement:
             doc.hosts + (lang.HostSpec("h7", (("ipaddress", "7"),)),),
             doc.constraintsets)
         with pytest.raises(SpaceTooLarge):
-            enumerate_all(seven, "randc")
+            oracle.enumerate_all(seven, "randc")
 
     def test_oracle_guard_candidates(self):
         # Six hosts and two types stay within hosts*types, but the worst
         # placement carries 30 candidate channels.
         with pytest.raises(SpaceTooLarge, match="candidates"):
-            enumerate_all(helpers.merged_doc(), "randc")
+            oracle.enumerate_all(helpers.merged_doc(), "randc")
 
     def test_example_configuration_is_in_the_bounded_space(self):
         """Membership in enumerate_all's solution set, shown via the oracle's
@@ -191,7 +204,7 @@ class TestOracleAgreement:
         assert len(example.channels) <= len(example.instances) ** 2
         per_host = Counter(i.id.host for i in example.instances)
         assert max(per_host.values()) <= opts.max_instances_per_host
-        assert evaluator.check(example, doc.constraintset("randc"), doc).satisfied
+        assert oracle.check(example, doc.constraintset("randc"), doc).satisfied
 
     def test_random_tiny_instances_agree_with_oracle(self):
         rng = helpers.rng(29)
@@ -199,14 +212,60 @@ class TestOracleAgreement:
         for _ in range(40):
             doc = generators.gen_solver_instance(rng)
             try:
-                oracle = enumerate_all(doc, "goal")
+                reference = oracle.enumerate_all(doc, "goal")
             except SpaceTooLarge:
                 continue
-            full = solve(doc, "goal",
-                         SolveOptions(solution_limit=len(oracle.solutions) + 1))
-            assert set(full.solutions) == set(oracle.solutions)
+            full = solve(doc, "goal", SolveOptions(
+                solution_limit=len(reference.solutions) + 1))
+            assert set(full.solutions) == set(reference.solutions)
             compared += 1
         assert compared >= 20
+
+    def test_the_package_enumeration_matches_the_reference(self):
+        """solver.enumerate_all walks the same space, judged by
+        evaluator.check, so it lists the reference's solutions in its
+        order."""
+        rng = helpers.rng(43)
+        docs = [(helpers.randc_doc(2), "randc")] + [
+            (generators.gen_solver_instance(rng), "goal") for _ in range(8)]
+        for doc, name in docs:
+            try:
+                reference = oracle.enumerate_all(doc, name)
+            except SpaceTooLarge:
+                continue
+            got = solver.enumerate_all(doc, name)
+            assert got.solutions == reference.solutions
+            assert got.stats[:2] == reference.stats[:2]
+
+    def test_no_solution_exactly_when_the_reference_finds_none(self):
+        """The sample goal on 2-3 hosts with a two-sided router cap, which
+        the derived bounds read only as an upper bound or not at all: the
+        first-solution search finds none exactly when the space has none.
+        Each other clause is kept with probability 3/4; on three hosts the
+        router pairing is left out, since its router-to-router candidates
+        make 4,096 wirings of the all-router placement."""
+        rng = helpers.rng(47)
+        compared = unsatisfiable = 0
+        for _ in range(50):
+            op, k = rng.choice(("=", ">=")), rng.randint(0, 3)
+            cap = (f"card(Client c connectedto r) {op} {k}" if rng.random() < 0.5
+                   else f"{k} {'=' if op == '=' else '<='} "
+                        "card(Client c connectedto r)")
+            (cs,) = lang.parse(helpers.CONSTRAINTS_TEXT.replace(
+                "card(Client c connectedto r) <= 2", cap)).constraintsets
+            hosts = rng.choice((2, 3))
+            kept = tuple(c for i, c in enumerate(cs.constraints)
+                         if i == 2 or (rng.random() < 0.75
+                                       and (i, hosts) != (3, 3)))
+            doc = helpers.randc_doc(hosts)._replace(
+                constraintsets=(lang.ConstraintSet("goal", kept),))
+            reference = oracle.enumerate_all(doc, "goal")
+            out = solve(doc, "goal")
+            assert bool(out.solutions) == bool(reference.solutions), cap
+            assert out.exhausted or out.solutions
+            compared += 1
+            unsatisfiable += not reference.solutions
+        assert unsatisfiable >= 10 and compared - unsatisfiable >= 10
 
 
 class TestSoundness:
@@ -218,8 +277,8 @@ class TestSoundness:
             out = solve(doc, "goal", SolveOptions(solution_limit=3))
             for config in out.solutions:
                 assert model.validate(config, doc) == []
-                assert evaluator.check(config, doc.constraintset("goal"),
-                                       doc).satisfied
+                assert oracle.check(config, doc.constraintset("goal"),
+                                    doc).satisfied
                 assert all(b.count <= 1 for b in model.bindings_of(config))
                 checked += 1
         assert checked >= 100
@@ -281,8 +340,8 @@ class TestRelaxation:
         for b in model.bindings_of(config):
             counts[b.type] = counts.get(b.type, 0) + b.count
         assert counts == {"Router": 2, "Client": 3}
-        assert evaluator.check(config, doc5.constraintset("randc"),
-                               doc5).satisfied
+        assert oracle.check(config, doc5.constraintset("randc"),
+                            doc5).satisfied
 
     def test_host_failure_minimality_against_oracle(self):
         """The brute-force oracle confirms no solution keeps all five pins."""
@@ -294,9 +353,10 @@ class TestRelaxation:
             doc.constraintsets)
         surviving = model.restrict_to_hosts(example, {h.name for h in doc5.hosts})
         pins = model.bindings_of(surviving)
-        oracle = enumerate_all(doc5, "randc", SolveOptions(pins=tuple(pins)))
-        assert oracle.exhausted
-        assert oracle.solutions == ()
+        reference = oracle.enumerate_all(doc5, "randc",
+                                         SolveOptions(pins=tuple(pins)))
+        assert reference.exhausted
+        assert reference.solutions == ()
 
     def test_budget_hit_is_unknown_not_unsatisfiable(self):
         """With a node budget too small to decide even the all-pins solve,
@@ -426,8 +486,8 @@ class TestRelaxation:
             assert len(solves) == 1
             assert [str(b) for b in removed] == [
                 f"Client@h{i}x1" for i in range(1, dropped + 1)]
-            assert evaluator.check(config, doc.constraintset("randc"),
-                                   doc).satisfied
+            assert oracle.check(config, doc.constraintset("randc"),
+                                doc).satisfied
 
     def test_pin_dominance_against_oracle(self):
         """Relaxation never removes k pins when fewer removals would admit a
@@ -438,17 +498,18 @@ class TestRelaxation:
         for _ in range(30):
             doc = generators.gen_solver_instance(rng)
             try:
-                oracle = enumerate_all(doc, "goal")
+                reference = oracle.enumerate_all(doc, "goal")
             except SpaceTooLarge:
                 continue
             types = [c.name for c in doc.components]
+            position = {h.name: i for i, h in enumerate(doc.hosts)}
             pins = sorted(
                 {Binding(rng.choice(types), h.name, 1)
                  for h in rng.sample(list(doc.hosts), min(2, len(doc.hosts)))},
-                key=lambda b: model.binding_sort_key(b, doc))
+                key=lambda b: (position[b.host], b.host, b.type))
             all_bindings = [
                 {(b.type, b.host): b.count for b in model.bindings_of(s)}
-                for s in oracle.solutions]
+                for s in reference.solutions]
 
             def dominated(kept):
                 return any(all(bs.get((p.type, p.host), 0) >= p.count
@@ -469,7 +530,9 @@ class TestRelaxation:
 def _plain_relaxation(doc, cs_name, pins, opts):
     """The relaxation loop without the bound skip: every removal subset is
     solved, by size and then in lexicographic order."""
-    ordered = sorted(pins, key=lambda b: model.binding_sort_key(b, doc))
+    position = {h.name: i for i, h in enumerate(doc.hosts)}
+    ordered = sorted(pins, key=lambda b: (
+        position.get(b.host, len(position)), b.host, b.type))
     for k in range(len(ordered) + 1):
         for removed in itertools.combinations(range(len(ordered)), k):
             kept = tuple(b for i, b in enumerate(ordered) if i not in removed)
@@ -507,24 +570,25 @@ class TestRouterRing:
 
     def test_oracle_matches_hand_count(self):
         doc = lang.parse(ROUTER_RING)
-        oracle = enumerate_all(doc, "ring")
-        assert len(oracle.solutions) == 9
+        reference = oracle.enumerate_all(doc, "ring")
+        assert len(reference.solutions) == 9
         assert {tuple(str(i.id) for i in s.instances)
-                for s in oracle.solutions} == {("Router@h1#0", "Router@h2#0")}
+                for s in reference.solutions} == {("Router@h1#0",
+                                                   "Router@h2#0")}
         mutual = {("Router@h1#0:rout[0]", "Router@h2#0:rin[0]"),
                   ("Router@h2#0:rout[0]", "Router@h1#0:rin[0]")}
         assert any({(str(c.src), str(c.dst)) for c in s.channels} == mutual
-                   for s in oracle.solutions)
+                   for s in reference.solutions)
 
     def test_solve_returns_a_subset(self):
         doc = lang.parse(ROUTER_RING)
-        oracle = enumerate_all(doc, "ring")
+        reference = oracle.enumerate_all(doc, "ring")
         out = solve(doc, "ring", SolveOptions(solution_limit=3))
-        assert set(out.solutions) <= set(oracle.solutions)
+        assert set(out.solutions) <= set(reference.solutions)
 
     def test_solution_counts_respect_the_per_host_bound(self):
         doc = lang.parse(ROUTER_RING)
-        for config in enumerate_all(doc, "ring").solutions:
+        for config in oracle.enumerate_all(doc, "ring").solutions:
             for binding in model.bindings_of(config):
                 assert binding.count <= 1
 
@@ -535,14 +599,14 @@ class TestChannelCap:
 
     def test_solve_lists_exactly_the_capped_space(self):
         doc3 = helpers.three_host_doc()
-        oracle = enumerate_all(doc3, "randc")
+        reference = oracle.enumerate_all(doc3, "randc")
         assert all(len(s.channels) <= len(s.instances) ** 2
-                   for s in oracle.solutions)
+                   for s in reference.solutions)
         full = solve(doc3, "randc",
-                     SolveOptions(solution_limit=len(oracle.solutions) + 1))
+                     SolveOptions(solution_limit=len(reference.solutions) + 1))
         assert full.exhausted
-        assert len(full.solutions) == len(oracle.solutions)
-        assert set(full.solutions) == set(oracle.solutions)
+        assert len(full.solutions) == len(reference.solutions)
+        assert set(full.solutions) == set(reference.solutions)
 
 
 def _sequence_digest(doc, cs_name: str, outcome) -> str:
@@ -728,7 +792,7 @@ class TestIncrementalWiringState:
         edges = [_ids_of(placement, e) for e in candidates]
         rng = helpers.rng(43)
         for _ in range(20):
-            sure, possible = solver._EdgeSet(), solver._EdgeSet()
+            sure, possible = evaluator._EdgeSet(), evaluator._EdgeSet()
             sure.reset(placement.types)
             possible.reset(placement.types, candidates)
             status = [0] * len(candidates)
@@ -922,17 +986,18 @@ def _show(search, placement, possible, sure=()):
 
 
 def _verdicts(doc, placement, edges):
-    """Per clause, whether evaluator.check finds it satisfied."""
+    """Per clause, whether the reference walker finds it satisfied."""
     cs = doc.constraintset("goal")
     config = solver._materialize(doc, placement, edges)
-    violated = {v.index for v in evaluator.check(config, cs, doc).violations}
+    violated = {v.index for v in oracle.check(config, cs, doc).violations}
     return [i not in violated for i in range(len(cs.constraints))]
 
 
 class TestCompiledClauses:
-    """The compiled three-valued clauses against evaluator.check, the
-    independent oracle: exact on complete configurations, and a definite
-    value on a partial state holds in every completion of it."""
+    """The compiled three-valued clauses, which evaluator.check also runs,
+    against the independent reference walker (tests/oracle.py): exact on
+    complete configurations, and a definite value on a partial state holds
+    in every completion of it."""
 
     def test_complete_configurations_match_the_evaluator(self):
         compared = definite = 0
@@ -1005,7 +1070,7 @@ class TestCompiledClauses:
             outcomes = {holds(x, y) for x in range(a, b + 1)
                         for y in range(c, d + 1)}
             want = outcomes.pop() if len(outcomes) == 1 else None
-            assert solver._DECIDE[op](a, b, c, d) is want
+            assert evaluator._DECIDE[op](a, b, c, d) is want
 
     @pytest.mark.parametrize("kind, body, members, value", [
         ("forall", "1 = 2", 0, True), ("exists", "1 = 1", 0, False),
@@ -1230,10 +1295,10 @@ class TestNestedQuantifiers:
 
     @pytest.mark.parametrize("mentioned", [98, 0])
     def test_satisfiable(self, mentioned):
-        """evaluator.check re-checks the solution. Counting the outermost
-        host, it would try h0 = m0 with all 2**98 assignments of h1..h98
-        before h0 = m1, unless it too drops the binders the body does not
-        mention."""
+        """evaluator.check re-checks the solution with the same compiled
+        clauses. Counting the outermost host, it would try h0 = m0 with all
+        2**98 assignments of h1..h98 before h0 = m1, unless it too dropped
+        the binders the body does not mention."""
         doc = lang.parse(_nested_goal(99, mentioned, 1))
         out = solve(doc, "goal")
         assert [str(b) for b in model.bindings_of(out.solutions[0])] == [
@@ -1392,17 +1457,17 @@ class TestCardinalityBounds:
                                 rng.choice(doc.hosts).name, 1),)
             opts = SolveOptions(max_instances_per_host=per_host, pins=pins)
             try:
-                oracle = enumerate_all(doc, "goal", opts)
+                reference = oracle.enumerate_all(doc, "goal", opts)
             except SpaceTooLarge:
                 continue
             full = solve(doc, "goal", SolveOptions(
                 max_instances_per_host=per_host, pins=pins,
-                solution_limit=len(oracle.solutions) + 1))
+                solution_limit=len(reference.solutions) + 1))
             assert full.exhausted
-            assert set(full.solutions) == set(oracle.solutions)
-            assert len(full.solutions) == len(oracle.solutions)
+            assert set(full.solutions) == set(reference.solutions)
+            assert len(full.solutions) == len(reference.solutions)
             bounds = solver.cardinality_bounds(cs)
-            for config in oracle.solutions:
+            for config in reference.solutions:
                 types = Counter(i.type for i in config.instances)
                 for x, y, k in bounds:
                     assert types[x] <= k * types[y]
