@@ -4,11 +4,11 @@ A constraint compiles, against a _View, into a closure that returns True
 (the constraint holds in every completion of the view), False (it holds in
 none) or None (not yet known). The solver compiles its goal once per
 search, over a view of count intervals and of edges included (sure) or not
-yet excluded (possible). check compiles it over the view of one complete
-configuration, where every interval is exact and sure equals possible, so
-every value is definite: a complete instance is the case lower bound ==
-upper bound (Torlak & Jackson, "Kodkod: A Relational Model Finder", TACAS
-2007). The tests judge both against an independent reference walker.
+yet excluded (possible). check compiles it once per constraint set and
+runs it over the view of one complete configuration at a time, where
+every interval is exact and sure equals possible, so every value is
+definite: a complete instance is the case lower bound == upper bound
+(Torlak & Jackson, "Kodkod: A Relational Model Finder", TACAS 2007). The tests judge both against an independent reference walker.
 
 Evaluation is pure and deterministic: quantifiers range in canonical order
 (hosts in declaration order, instances in configuration order), and check
@@ -28,6 +28,7 @@ Semantics notes:
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import NamedTuple
 
 from .lang import (And, Compare, ConnectsTo, ConstraintSet, DeladasError,
@@ -137,7 +138,7 @@ class _EdgeSet:
 
 class _View:
     """What the compiled clauses read. The solver mutates its view in
-    place; check builds an exact one per configuration.
+    place; so does check, refilling an exact one for each configuration.
 
     Host variables hold host positions and instance variables instance
     numbers. lo[t][h] and hi[t][h] bound the number of t instances on host
@@ -345,32 +346,61 @@ def has_path(adj, a, b) -> bool:
     return False
 
 
+# Compiled constraint sets, per thread since check refills a program's view
+# in place. Records compare by value, so equal constraint sets share one.
+_PROGRAMS = threading.local()
+_PROGRAMS_KEPT = 16  # the oldest program is dropped beyond this many
+
+
+def _program(cs: ConstraintSet, hosts: tuple[str, ...],
+             types: tuple[str, ...]) -> tuple:
+    """cs compiled over an exact view of the hosts and component types:
+    the view, the env slots and one closure per constraint."""
+    programs = _PROGRAMS.__dict__.setdefault("by_key", {})
+    key = (cs, hosts, types)
+    if key not in programs:
+        counts = {t: [0] * len(hosts) for t in types}
+        view = _View(list(hosts), counts, counts)
+        view.members.update((t, []) for t in types)
+        view.possible = view.sure
+        env: list = []
+        closures = [_compile(c, view, {}, env) for c in cs.constraints]
+        if len(programs) >= _PROGRAMS_KEPT:
+            del programs[next(iter(programs))]
+        programs[key] = view, env, closures
+    return programs[key]
+
+
 def check(config: Configuration, cs: ConstraintSet,
           doc: SpecDocument) -> CheckResult:
     """Evaluate every constraint; report one witness per violated clause.
 
     Defined for a configuration that model.validate accepts against doc;
-    every caller validates first. The constraints compile over the
+    every caller validates first. The constraints run over the
     configuration's exact view: per host and type, lo == hi == the number
     of instances; members lists each type's instances in configuration
-    order; sure and possible are both its channels."""
-    names = [h.name for h in config.hosts]
-    position = {name: h for h, name in enumerate(names)}
+    order; sure and possible are both its channels. They are compiled once
+    per constraint set, host names and component types (see _program),
+    and the view is refilled for each call."""
+    hosts = tuple(h.name for h in config.hosts)
+    view, env, closures = _program(cs, hosts,
+                                   tuple(c.name for c in doc.components))
+    position = {name: h for h, name in enumerate(hosts)}
     number = {inst.id: n for n, inst in enumerate(config.instances)}
-    types = [inst.type for inst in config.instances]
-    counts: dict[str, list[int]] = {}
-    view = _View(names, counts, counts)
+    for counts in view.lo.values():
+        counts[:] = view.zeros
+    for members in view.members.values():
+        members.clear()
     for n, inst in enumerate(config.instances):
-        counts.setdefault(inst.type, [0] * len(names))[position[inst.id.host]] += 1
-        view.members.setdefault(inst.type, []).append(n)
-    view.sure.reset(types, (_Edge(number[ch.src.instance], ch.src.port,
-                                  number[ch.dst.instance], ch.dst.port)
-                            for ch in config.channels))
-    view.possible = view.sure
+        view.lo[inst.type][position[inst.id.host]] += 1
+        view.members[inst.type].append(n)
+    view.sure.reset([inst.type for inst in config.instances],
+                    (_Edge(number[ch.src.instance], ch.src.port,
+                           number[ch.dst.instance], ch.dst.port)
+                     for ch in config.channels))
     violations: list[Violation] = []
-    env: list = []
-    for index, constraint in enumerate(cs.constraints):
-        closure = _compile(constraint, view, {}, env)
+    for index, (constraint, closure) in enumerate(zip(cs.constraints,
+                                                      closures)):
         if not closure():
             violations.append(Violation(
                 index, _witness(constraint, closure, view, env, config)))

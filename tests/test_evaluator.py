@@ -54,6 +54,21 @@ class TestCheckExamples:
         second = check(empty, doc.constraintset("randc"), doc)
         assert first == second
 
+    def test_check_compiles_a_constraint_set_once(self, monkeypatch):
+        """Later checks over the same hosts reuse the compiled clauses and
+        refill their view in full: results equal the reference whatever
+        configuration came before."""
+        doc = helpers.merged_doc()
+        cs = doc.constraintset("randc")
+        full, empty = helpers.example_configuration(), model.empty_on(doc.hosts)
+        check(full, cs, doc)
+        compiled = []
+        monkeypatch.setattr(evaluator, "_compile",
+                            lambda *args: compiled.append(args))
+        for config in (empty, full, empty):
+            assert check(config, cs, doc) == oracle.check(config, cs, doc)
+        assert compiled == []
+
     def test_check_leaves_no_reference_cycles(self):
         """Everything a check allocates is freed by reference counting, so
         the configuration's context does not wait for the cycle collector."""
