@@ -30,11 +30,17 @@ Grammar (EBNF):
 Juxtaposed predicates inside a quantifier body are conjunction; the `and`
 keyword is an explicit synonym. `and` binds tighter than `or`.
 
-Files use extension .deladas, UTF-8, `//` line comments.
+Lexical rules. An identifier is a letter or `_`, then letters, digits or
+`_`; the keywords are reserved. An integer is decimal digits of any script.
+A string is double-quoted on one line, with escapes \\n \\t \\\\ \\" and any
+other escaped character read as itself. Blanks are space, tab and CR only;
+`//` starts a comment that runs to the end of the line. Files use extension
+.deladas, UTF-8.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 
@@ -43,9 +49,6 @@ KEYWORDS = frozenset([
     "deployment", "card", "instancesof", "connectsto", "connectedto",
     "reachable", "and", "or",
 ])
-
-# Longest first so != / <= / >= win over their single-char prefixes.
-PUNCTUATION = ("!=", "<=", ">=", "(", ")", "{", "}", "[", "]", ",", ".", "=", "<", ">")
 
 COMPARISON_OPS = frozenset(["=", "!=", "<=", ">=", "<", ">"])
 # Deepest nesting of parentheses and quantifier bodies the parser accepts;
@@ -130,89 +133,58 @@ class Token(NamedTuple):
 
 _STRING_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
+# One alternative per lexical class, tried in order. \w is isalnum() or _;
+# \d is isdecimal(), as int() rejects digits such as '²'.
+_LEXEME = re.compile(r"""
+    (?P<newline>\n)
+  | [ \t\r]+ | //[^\n]*
+  | (?P<string>"(?:\\[^\n]|[^"\\\n])*")
+  | (?P<word>[^\W\d]\w*)
+  | (?P<integer>\d+)
+  | (?P<punct>!=|<=|>=|[(){}\[\],.=<>])
+  | (?P<other>[\s\S])
+""", re.VERBOSE)
+
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize Deladas source text.
 
-    Comments (`//` to end of line) and whitespace produce no tokens.
+    Comments (`//` to end of line) and blanks produce no tokens.
     Raises LexError for any character outside the grammar.
     """
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    while i < n:
-        ch = source[i]
-
-        if ch == "\n":
-            i += 1
+    line_start = 0
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf: list[str] = []
-            while i < n and source[i] != '"':
-                if source[i] == "\n":
-                    raise LexError("unterminated string literal", start_line, start_col)
-                if source[i] == "\\" and i + 1 < n:
-                    i += 1
-                    col += 1
-                    buf.append(_STRING_ESCAPES.get(source[i], source[i]))
-                else:
-                    buf.append(source[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise LexError("unterminated string literal", start_line, start_col)
-            i += 1  # closing quote
-            col += 1
-            tokens.append(Token(STRING, "".join(buf), start_line, start_col))
-            continue
-
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            text = source[start:i]
-            kind = KEYWORD if text in KEYWORDS else IDENT
-            tokens.append(Token(kind, text, line, start_col))
-            continue
-
-        # isdecimal, not isdigit: int() rejects digits such as '²'.
-        if ch.isdecimal():
-            start_col = col
-            start = i
-            while i < n and source[i].isdecimal():
-                i += 1
-                col += 1
-            tokens.append(Token(INTEGER, source[start:i], line, start_col))
-            continue
-
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(Token(PUNCT, punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "word":
+            # \w also takes numerals such as '²', which may not start a word.
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(f"unexpected character {text[0]!r}", line, col)
+            tokens.append(Token(KEYWORD if text in KEYWORDS else IDENT,
+                                text, line, col))
+        elif kind == "string":
+            body = text[1:-1]
+            if "\\" in body:
+                body = re.sub(r"\\(.)",
+                              lambda e: _STRING_ESCAPES.get(e[1], e[1]), body)
+            tokens.append(Token(STRING, body, line, col))
+        elif kind == "integer":
+            tokens.append(Token(INTEGER, text, line, col))
+        elif kind == "punct":
+            tokens.append(Token(PUNCT, text, line, col))
+        elif text == '"':
+            raise LexError("unterminated string literal", line, col)
         else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-
+            raise LexError(f"unexpected character {text!r}", line, col)
     return tokens
 
 

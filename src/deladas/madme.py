@@ -120,8 +120,6 @@ class Manager:
         self.fabric = fabric
         self.options = options or solver.SolveOptions()
         self.deployed = model.empty_on(doc.hosts)
-        self.history: list[tuple[int, Decision]] = []
-        self.saw_constraint_error = False
 
     # -- helpers ----------------------------------------------------------------
 
@@ -132,9 +130,7 @@ class Manager:
         return cs
 
     def _record(self, decision: Decision) -> Decision:
-        self.history.append((self.fabric.clock, decision))
         if isinstance(decision, ConstraintError):
-            self.saw_constraint_error = True
             self.fabric.log("decision-constraint-error", decision.detail)
         elif isinstance(decision, Resolve):
             removed = ",".join(str(b) for b in decision.removed) or "-"
@@ -228,8 +224,8 @@ class Manager:
             constraints = lang.parse(Path(event.constraints_path).read_text())
             resources = lang.parse(Path(event.resources_path).read_text())
             doc2 = lang.merge_documents(resources, constraints)
-            cs_name = self.cs_name if doc2.constraintset(self.cs_name) \
-                else select_constraintset(doc2, None)
+            cs_name = select_constraintset(
+                doc2, self.cs_name if doc2.constraintset(self.cs_name) else None)
         except (OSError, DeladasError) as e:
             return self._record(ConstraintError(f"revision rejected: {e}"))
         self.doc = doc2

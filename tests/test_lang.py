@@ -7,6 +7,33 @@ from deladas.lang import (And, Compare, ConnectsTo, LexError, Or, ParseError,
                           Quantified, Reachable, ValidationError)
 
 
+# (source, tokens as (kind, text, line, column)) or (source, LexError as
+# (message, line, column)).
+LEX_TABLE = [
+    ("!", ("unexpected character '!'", 1, 1)),
+    ("/", ("unexpected character '/'", 1, 1)),
+    ("a // end", [("identifier", "a", 1, 1)]),
+    ("a\r\nb", [("identifier", "a", 1, 1), ("identifier", "b", 2, 1)]),
+    ("a\vb", ("unexpected character '\\x0b'", 1, 2)),
+    ("a\u3000b", ("unexpected character '\\u3000'", 1, 2)),
+    ("_x", [("identifier", "_x", 1, 1)]),
+    ("\u00e9", [("identifier", "\u00e9", 1, 1)]),
+    ("a\u00b2", [("identifier", "a\u00b2", 1, 1)]),
+    ("\u00b2a", ("unexpected character '\u00b2'", 1, 1)),
+    ("12abc", [("integer-literal", "12", 1, 1), ("identifier", "abc", 1, 3)]),
+    ("foralls", [("identifier", "foralls", 1, 1)]),
+    ('"\\q"', [("string-literal", "q", 1, 1)]),
+    ('x "a\\', ("unterminated string literal", 1, 3)),
+    ('x "a\\\nb" y', ("unterminated string literal", 1, 3)),
+    ('"a"\n  "b', ("unterminated string literal", 2, 3)),
+]
+
+# Random lexer inputs draw from these pieces.
+LEX_ALPHABET = list("ab_Z09 \t\r\n\"\\/!=<>(){}[],.@#") + [
+    "\u00b2", "\u00bd", "\u216b", "\u0663", "\u00e9", "\x0b", "//",
+    "forall", "host", '"x\\"y"', "\\\n"]
+
+
 class TestTokenize:
     def test_host_declaration(self):
         toks = lang.tokenize('host h1 = host(ipaddress = "192.168.0.1")')
@@ -59,6 +86,42 @@ class TestTokenize:
         toks = lang.tokenize("\u0663\u0664 12")
         assert [(t.kind, int(t.text)) for t in toks] == [
             ("integer-literal", 34), ("integer-literal", 12)]
+
+    @pytest.mark.parametrize("source, expected", LEX_TABLE)
+    def test_lex_table(self, source, expected):
+        if isinstance(expected, list):
+            assert [tuple(t) for t in lang.tokenize(source)] == expected
+        else:
+            with pytest.raises(LexError) as err:
+                lang.tokenize(source)
+            message, line, column = expected
+            assert str(err.value) == f"line {line}, col {column}: {message}"
+            assert (err.value.line, err.value.column) == (line, column)
+
+    def test_lex_positions_point_at_the_source(self):
+        """Each token's (line, column) is where its raw text starts on that
+        physical line, and each LexError names the offending character or the
+        opening quote of the unterminated string."""
+        rng = helpers.rng(11)
+        sources = [lang.pretty_print(generators.gen_document(rng))
+                   for _ in range(50)]
+        sources += ["".join(rng.choice(LEX_ALPHABET)
+                            for _ in range(rng.randint(0, 16)))
+                    for _ in range(3000)]
+        for source in sources:
+            lines = source.split("\n") + [""]  # a position past the end reads ""
+            try:
+                tokens = lang.tokenize(source)
+            except LexError as err:
+                at = lines[err.line - 1][err.column - 1:err.column]
+                assert str(err).endswith(
+                    "unterminated string literal" if at == '"'
+                    else f"unexpected character {at!r}"), repr(source)
+                continue
+            for tok in tokens:
+                raw = '"' if tok.kind == "string-literal" else tok.text
+                assert lines[tok.line - 1].startswith(raw, tok.column - 1), \
+                    (repr(source), tok)
 
 
 class TestParseFigures:

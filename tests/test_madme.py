@@ -28,6 +28,10 @@ def resolves_in(trace) -> list[str]:
     return [l for l in trace if l.split()[1] == "decision-resolve"]
 
 
+def constraint_errors_in(trace) -> list[str]:
+    return [l for l in trace if l.split()[1] == "decision-constraint-error"]
+
+
 class TestClassify:
     """How on_events reads each failure signal it is handed."""
 
@@ -50,9 +54,9 @@ class TestClassify:
 
     def test_empty_window_is_noop(self):
         manager = example_manager()
-        trace, history = list(manager.fabric.trace), list(manager.history)
+        trace = list(manager.fabric.trace)
         assert manager.on_events([]) == []
-        assert (manager.fabric.trace, manager.history) == (trace, history)
+        assert manager.fabric.trace == trace
 
     def test_amp_report_covers_suspicion_for_same_host(self):
         """A host whose AMP reported is alive: a suspicion of it in the same
@@ -208,7 +212,7 @@ class TestHostFailure:
             "h1", "h2", "h5", "h6"}
         assert manager.on_events(fab.step()) == [
             NoOp("host h4 already dropped")]
-        assert not manager.saw_constraint_error
+        assert constraint_errors_in(manager.fabric.trace) == []
 
     def test_resolve_after_host_loss(self):
         manager = example_manager()
@@ -301,7 +305,7 @@ class TestConstraintError:
                    if l.split()[1] in ("install", "instantiate", "terminate",
                                        "wire", "unwire")]
         assert effects == []
-        assert manager.saw_constraint_error
+        assert constraint_errors_in(manager.fabric.trace)
 
     def test_budget_hit_is_reported_unknown(self):
         """A re-solve that runs out of node budget keeps every pin and the
@@ -345,7 +349,7 @@ class TestGoalRestoration:
         fab.inject(event)
         while fab.pending():
             manager.on_events(fab.step())
-        assert not manager.saw_constraint_error
+        assert constraint_errors_in(manager.fabric.trace) == []
         result = oracle.check(manager.deployed,
                               manager.doc.constraintset("randc"), manager.doc)
         assert result.satisfied
@@ -355,12 +359,12 @@ class TestRequests:
     def test_selectors_are_idempotent(self):
         manager = example_manager()
         snapshot = (manager.doc, manager.cs_name, manager.deployed,
-                    len(manager.history))
+                    list(manager.fabric.trace))
         for method in ("get-resources", "get-constraints", "get-deployment"):
             response = manager.handle_request(method, "")
             assert response.startswith(b"ok\n")
         assert (manager.doc, manager.cs_name, manager.deployed,
-                len(manager.history)) == snapshot
+                manager.fabric.trace) == snapshot
 
     def test_get_resources_round_trips(self):
         manager = example_manager()
@@ -425,12 +429,12 @@ class TestRequests:
     def test_enact_identity_is_stable(self):
         manager = example_manager()
         current = manager.handle_request("get-deployment", "").split(b"\n", 1)[1]
-        history_before = len(manager.history)
+        trace_before = list(manager.fabric.trace)
         response = manager.handle_request("enact", current.decode())
         assert response == b"ok\n"  # empty plan
         assert manager.handle_request("get-deployment", "").split(b"\n", 1)[1] \
             == current
-        assert len(manager.history) == history_before
+        assert manager.fabric.trace == trace_before
 
     def test_enact_rejects_goal_violating_document(self):
         manager = example_manager()

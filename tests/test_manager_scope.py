@@ -76,6 +76,7 @@ def run_scenario(doc, events, pins=(), prior=None) -> list[str]:
     for event in events:
         fab.inject(event)
     problems = []
+    errored = False
     while fab.pending():
         try:
             decisions = manager.on_events(fab.step())
@@ -84,7 +85,9 @@ def run_scenario(doc, events, pins=(), prior=None) -> list[str]:
                                f"on_events: {e}"]
         problems += [f"{fab.clock}: {p}"
                      for p in step_problems(manager, decisions)]
-    if not manager.saw_constraint_error:
+        errored = errored or any(isinstance(d, ConstraintError)
+                                 for d in decisions)
+    if not errored:
         if {i.id.host for i in manager.deployed.instances} - {
                 h.name for h in manager.doc.hosts}:
             problems.append("the deployment uses a dropped host")
