@@ -25,7 +25,7 @@ def _load_documents(resources: str, constraints: str) -> SpecDocument:
     cons_path = Path(constraints)
     res_doc = lang.parse(res_path.read_text())
     if res_path.resolve() == cons_path.resolve():
-        return lang.validate_document(res_doc)
+        return res_doc
     cons_doc = lang.parse(cons_path.read_text())
     return lang.merge_documents(res_doc, cons_doc)
 

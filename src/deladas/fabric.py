@@ -223,12 +223,6 @@ class Fabric:
             delivered.extend(self._process(event))
         return delivered
 
-    def run_to_idle(self) -> list[FabricEvent]:
-        out = []
-        while self._queue:
-            out.extend(self.step())
-        return out
-
     def _process(self, event: FabricEvent) -> list[FabricEvent]:
         if isinstance(event, CrashProcess):
             # A host crash kills its machines: an alive one's AMP is alive.

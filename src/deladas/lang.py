@@ -30,6 +30,12 @@ Grammar (EBNF):
 Juxtaposed predicates inside a quantifier body are conjunction; the `and`
 keyword is an explicit synonym. `and` binds tighter than `or`.
 
+Static rules. The parser checks variable scopes and sorts at the token
+that binds or uses each variable, or at the comparison operator, and its
+ValidationError starts with that token's line and column. validate_document
+checks what needs the whole document: distinct names, hosts and connectsto
+ports. A SpecDocument built by hand gets no scope check.
+
 Lexical rules. An identifier is a letter or `_`, then letters, digits or
 `_`; the keywords are reserved. An integer is decimal digits of any script.
 A string is double-quoted on one line, with escapes \\n \\t \\\\ \\" and any
@@ -217,13 +223,6 @@ class HostSpec(NamedTuple):
     # Ordered (key, value) pairs; validation puts ipaddress first.
     attributes: tuple[tuple[str, str], ...]
 
-    @property
-    def ipaddress(self) -> str:
-        for key, value in self.attributes:
-            if key == "ipaddress":
-                return value
-        return ""
-
 
 @record
 class IntLiteral(NamedTuple):
@@ -360,6 +359,10 @@ class SpecDocument(NamedTuple):
         return None
 
 
+# What a SpecDocument's fields declare, in field order, for messages.
+_DECLARATION_KINDS = ("component", "host", "constraintset")
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -372,6 +375,10 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        # Variables the enclosing quantifiers bind, with their sorts, and
+        # the constraintset being parsed, for scope faults.
+        self.scope: dict[str, str] = {}
+        self.where = ""
         # EOF position for error reporting.
         lines = source.split("\n")
         self.eof_line = len(lines)
@@ -397,6 +404,10 @@ class _Parser:
         want = " or ".join(expected)
         return ParseError(f"expected {want}, found {found}", line, col,
                           self.pos, expected)
+
+    def _fault(self, tok: Token, message: str) -> ValidationError:
+        return ValidationError(
+            f"line {tok.line}, col {tok.column}: {self.where}: {message}")
 
     def _expect_kw(self, word: str) -> Token:
         tok = self._peek()
@@ -505,6 +516,7 @@ class _Parser:
     def _parse_constraintset(self) -> ConstraintSet:
         self._expect_kw("constraintset")
         name = self._expect_ident("constraintset name").text
+        self.where = f"constraintset {name}"
         self._expect_punct("=")
         self._expect_kw("constraintset")
         self._expect_punct("{")
@@ -588,44 +600,80 @@ class _Parser:
         self._expect_punct("(")
         body = self._parse_expr()
         self._expect_punct(")")
+        for b in binders:
+            del self.scope[b.var]
         return Quantified(kind, tuple(binders), body)
 
     def _parse_binder(self, prev_sort: str | None) -> Binder:
+        """Parse one binder and bind its variable until the body ends."""
         if self._at_kw("host"):
             self._advance()
-            var = self._expect_ident("host variable").text
-            return Binder(var, HOST_SORT)
-        first = self._expect_ident("type name" if prev_sort is None else "binder").text
-        if self._peek().kind == IDENT:
-            return Binder(self._advance().text, first)
-        # A bare variable after a comma shares the previous binder's sort,
-        # as in `forall Router r1, r2`.
-        if prev_sort is None:
-            raise self._error(("variable",))
-        return Binder(first, prev_sort)
+            tok, sort = self._expect_ident("host variable"), HOST_SORT
+        else:
+            first = self._expect_ident(
+                "type name" if prev_sort is None else "binder")
+            if self._peek().kind == IDENT:
+                tok, sort = self._advance(), first.text
+            # A bare variable after a comma shares the previous binder's
+            # sort, as in `forall Router r1, r2`.
+            elif prev_sort is None:
+                raise self._error(("variable",))
+            else:
+                tok, sort = first, prev_sort
+        self.scope[self._unbound(tok)] = sort
+        return Binder(tok.text, sort)
+
+    def _unbound(self, tok: Token) -> str:
+        """The name of a variable token that no enclosing quantifier binds."""
+        if tok.text in self.scope:
+            raise self._fault(tok, f"variable {tok.text} already bound")
+        return tok.text
+
+    def _var(self, what: str = "variable") -> tuple[Token, str]:
+        """A variable use and the sort its quantifier gave it."""
+        tok = self._expect_ident(what)
+        if tok.text not in self.scope:
+            raise self._fault(tok, f"unbound variable {tok.text}")
+        return tok, self.scope[tok.text]
+
+    def _instance_var(self, fault: str) -> str:
+        """A variable use that must be an instance; fault, formatted with
+        its name, is the message when it is a host."""
+        tok, sort = self._var()
+        if sort == HOST_SORT:
+            raise self._fault(tok, fault.format(tok.text))
+        return tok.text
 
     def _parse_compare(self) -> Compare:
-        lhs = self._parse_value()
-        tok = self._peek()
-        if tok.kind == PUNCT and tok.text in COMPARISON_OPS:
-            op = self._advance().text
-        else:
+        lhs, lhs_kind = self._parse_value()
+        op = self._peek()
+        if not (op.kind == PUNCT and op.text in COMPARISON_OPS):
             raise self._error(("comparison operator",))
-        rhs = self._parse_value()
-        return Compare(op, lhs, rhs)
+        self._advance()
+        rhs, rhs_kind = self._parse_value()
+        if op.text in ("<", "<=", ">", ">="):
+            if lhs_kind != "int" or rhs_kind != "int":
+                raise self._fault(
+                    op, "ordering comparison requires integer operands")
+        elif lhs_kind != rhs_kind:
+            raise self._fault(op, f"cannot compare {lhs_kind} with {rhs_kind}")
+        return Compare(op.text, lhs, rhs)
 
-    def _parse_value(self) -> ValueExpr:
+    def _parse_value(self) -> tuple[ValueExpr, str]:
+        """A comparison operand and its kind: int, host-var or instance-var."""
         tok = self._peek()
         if tok.kind == INTEGER:
-            return IntLiteral(int(self._advance().text))
+            return IntLiteral(int(self._advance().text)), "int"
         if tok.kind == KEYWORD and tok.text == "card":
             self._advance()
             self._expect_punct("(")
             inner = self._parse_set_expr()
             self._expect_punct(")")
-            return Card(inner)
+            return Card(inner), "int"
         if tok.kind == IDENT:
-            return Var(self._advance().text)
+            _, sort = self._var()
+            return Var(tok.text), ("host-var" if sort == HOST_SORT
+                                   else "instance-var")
         raise self._error(("integer", "identifier", "'card'"))
 
     def _parse_set_expr(self) -> InstancesOf | ConnectedTo:
@@ -633,30 +681,40 @@ class _Parser:
             self._advance()
             type_name = self._expect_ident("type name").text
             self._expect_kw("in")
-            host_var = self._expect_ident("host variable").text
-            return InstancesOf(type_name, host_var)
+            tok, sort = self._var("host variable")
+            if sort != HOST_SORT:
+                raise self._fault(tok, "instancesof needs a host variable, "
+                                       f"{tok.text} is not one")
+            return InstancesOf(type_name, tok.text)
         type_name = self._expect_ident("type name").text
-        var = self._expect_ident("variable").text
+        # The counted variable is the card's own; it may not rebind one.
+        var = self._unbound(self._expect_ident("variable"))
         self._expect_kw("connectedto")
-        peer = self._expect_ident("variable").text
+        peer_tok = self._peek()
+        if peer_tok.kind == IDENT and peer_tok.text == var:
+            raise self._fault(peer_tok,
+                              "connectedto variable shadows its peer")
+        peer = self._instance_var("connectedto peer must be an instance "
+                                  "variable")
         return ConnectedTo(type_name, var, peer)
 
     def _parse_connects(self) -> ConnectsTo:
-        v1 = self._expect_ident("variable").text
-        self._expect_punct(".")
-        p1 = self._expect_port_name().text
+        src = self._parse_port_ref()
         self._expect_kw("connectsto")
-        v2 = self._expect_ident("variable").text
+        return ConnectsTo(src, self._parse_port_ref())
+
+    def _parse_port_ref(self) -> PortRef:
+        var = self._instance_var("{} is a host variable, not an instance")
         self._expect_punct(".")
-        p2 = self._expect_port_name().text
-        return ConnectsTo(PortRef(v1, p1), PortRef(v2, p2))
+        return PortRef(var, self._expect_port_name().text)
 
     def _parse_reachable(self) -> Reachable:
+        fault = "reachable needs instance variables, {} is a host"
         self._expect_kw("reachable")
         self._expect_punct("(")
-        a = self._expect_ident("variable").text
+        a = self._instance_var(fault)
         self._expect_punct(",")
-        b = self._expect_ident("variable").text
+        b = self._instance_var(fault)
         self._expect_punct(")")
         return Reachable(a, b)
 
@@ -700,28 +758,56 @@ def _component_from_attrs(name: str,
 # ---------------------------------------------------------------------------
 
 def validate_document(doc: SpecDocument) -> SpecDocument:
-    """Check cross-declaration rules and canonicalize the document.
+    """Check the rules that need the whole document and canonicalize it.
 
-    Host attributes are reordered with ipaddress first; everything else is
-    returned as-is. Raises ValidationError on the first broken rule.
+    Names are distinct per declaration kind, hosts pass canonical_host, and
+    each connectsto port is one its type declares, when the document
+    declares that type. The parser has already checked variable scopes and
+    sorts; a hand-built document gets no such check here. Host attributes
+    are reordered with ipaddress first; everything else is returned as-is.
+    Raises ValidationError on the first broken rule.
     """
-    _check_distinct([c.name for c in doc.components], "component")
-    _check_distinct([h.name for h in doc.hosts], "host")
-    _check_distinct([cs.name for cs in doc.constraintsets], "constraintset")
-
+    for what, decls in zip(_DECLARATION_KINDS, doc):
+        seen: set[str] = set()
+        for decl in decls:
+            if decl.name in seen:
+                raise ValidationError(f"duplicate {what} name {decl.name}")
+            seen.add(decl.name)
     hosts = tuple(canonical_host(h.name, h.attributes) for h in doc.hosts)
     for cs in doc.constraintsets:
-        for expr in cs.constraints:
-            _check_expr(expr, {}, doc, cs.name)
+        for pattern in connect_patterns(cs):
+            for sort, port in (pattern[:2], pattern[2:]):
+                ctype = doc.component(sort)
+                if ctype is not None and ctype.port(port) is None:
+                    raise ValidationError(f"constraintset {cs.name}: "
+                                          f"type {sort} has no port {port}")
     return SpecDocument(doc.components, hosts, doc.constraintsets)
 
 
-def _check_distinct(names: list[str], what: str) -> None:
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise ValidationError(f"duplicate {what} name {name}")
-        seen.add(name)
+def connect_patterns(cs: ConstraintSet) -> list[tuple[str, str, str, str]]:
+    """Typed (src type, src port, dst type, dst port) patterns from the
+    constraintset's connectsto leaves, in first-appearance order. An unbound
+    variable's type is ""."""
+    seen: list[tuple[str, str, str, str]] = []
+    for constraint in cs.constraints:
+        _add_patterns(constraint, {}, seen)
+    return seen
+
+
+def _add_patterns(expr, env: dict[str, str], seen: list) -> None:
+    if isinstance(expr, Quantified):
+        inner = dict(env)
+        for b in expr.binders:
+            inner[b.var] = b.sort
+        _add_patterns(expr.body, inner, seen)
+    elif isinstance(expr, (And, Or)):
+        for item in expr.items:
+            _add_patterns(item, env, seen)
+    elif isinstance(expr, ConnectsTo):
+        pat = (env.get(expr.src.var, ""), expr.src.port,
+               env.get(expr.dst.var, ""), expr.dst.port)
+        if pat not in seen:
+            seen.append(pat)
 
 
 def canonical_host(name: str, attributes) -> HostSpec:
@@ -745,10 +831,10 @@ def canonical_host(name: str, attributes) -> HostSpec:
 
 
 def _is_identifier(text: str) -> bool:
-    """Whether tokenize reads text as one identifier: a letter or _, then
-    letters, digits (isalnum) or _, and no keyword."""
-    word = text.replace("_", "a")  # _ goes wherever a letter does
-    return word[:1].isalpha() and word.isalnum() and text not in KEYWORDS
+    """Whether tokenize reads text as one identifier token."""
+    m = _LEXEME.fullmatch(text)
+    return (m is not None and m.lastgroup == "word"
+            and (text[0].isalpha() or text[0] == "_") and text not in KEYWORDS)
 
 
 def _is_attribute_key(key: str) -> bool:
@@ -773,83 +859,9 @@ def _is_xml_text(value: str) -> bool:
         or c >= "\U00010000" for c in value)
 
 
-def _check_expr(expr: ConstraintExpr, env: dict[str, str],
-                doc: SpecDocument, cs_name: str) -> None:
-    where = f"constraintset {cs_name}"
-    if isinstance(expr, Quantified):
-        inner = dict(env)
-        for b in expr.binders:
-            if b.var in inner:
-                raise ValidationError(f"{where}: variable {b.var} already bound")
-            inner[b.var] = b.sort
-        _check_expr(expr.body, inner, doc, cs_name)
-    elif isinstance(expr, (And, Or)):
-        for item in expr.items:
-            _check_expr(item, env, doc, cs_name)
-    elif isinstance(expr, Compare):
-        lk = _operand_kind(expr.lhs, env, doc, where)
-        rk = _operand_kind(expr.rhs, env, doc, where)
-        if expr.op in ("<", "<=", ">", ">="):
-            if lk != "int" or rk != "int":
-                raise ValidationError(
-                    f"{where}: ordering comparison requires integer operands")
-        else:  # = or !=
-            if lk != rk:
-                raise ValidationError(
-                    f"{where}: cannot compare {lk} with {rk}")
-    elif isinstance(expr, ConnectsTo):
-        for ref in (expr.src, expr.dst):
-            sort = _lookup(ref.var, env, where)
-            if sort == HOST_SORT:
-                raise ValidationError(
-                    f"{where}: {ref.var} is a host variable, not an instance")
-            ctype = doc.component(sort)
-            if ctype is not None and ctype.port(ref.port) is None:
-                raise ValidationError(
-                    f"{where}: type {sort} has no port {ref.port}")
-    elif isinstance(expr, Reachable):
-        for var in (expr.a, expr.b):
-            if _lookup(var, env, where) == HOST_SORT:
-                raise ValidationError(
-                    f"{where}: reachable needs instance variables, {var} is a host")
-    else:
-        raise ValidationError(f"{where}: unknown expression {expr!r}")
-
-
-def _lookup(var: str, env: dict[str, str], where: str) -> str:
-    if var not in env:
-        raise ValidationError(f"{where}: unbound variable {var}")
-    return env[var]
-
-
-def _operand_kind(value: ValueExpr, env: dict[str, str],
-                  doc: SpecDocument, where: str) -> str:
-    if isinstance(value, IntLiteral):
-        return "int"
-    if isinstance(value, Card):
-        inner = value.inner
-        if isinstance(inner, InstancesOf):
-            if _lookup(inner.host_var, env, where) != HOST_SORT:
-                raise ValidationError(
-                    f"{where}: instancesof needs a host variable, "
-                    f"{inner.host_var} is not one")
-        else:
-            if inner.var in env:
-                raise ValidationError(
-                    f"{where}: variable {inner.var} already bound")
-            if inner.var == inner.peer_var:
-                raise ValidationError(
-                    f"{where}: connectedto variable shadows its peer")
-            if _lookup(inner.peer_var, env, where) == HOST_SORT:
-                raise ValidationError(
-                    f"{where}: connectedto peer must be an instance variable")
-        return "int"
-    sort = _lookup(value.name, env, where)
-    return "host-var" if sort == HOST_SORT else "instance-var"
-
-
 def parse(source: str) -> SpecDocument:
-    """Parse and validate Deladas source text into a SpecDocument."""
+    """Parse and validate Deladas source text into a SpecDocument. Scope
+    faults are reported at their token, the first in source order."""
     tokens = tokenize(source)
     doc = _Parser(tokens, source).parse_document()
     return validate_document(doc)
@@ -862,28 +874,18 @@ def merge_documents(a: SpecDocument, b: SpecDocument) -> SpecDocument:
     The merged document is re-validated, which also checks constraint port
     references against the now-known component types.
     """
-    components = list(a.components)
-    for c in b.components:
-        existing = next((x for x in components if x.name == c.name), None)
-        if existing is None:
-            components.append(c)
-        elif existing != c:
-            raise ValidationError(f"conflicting declarations of component {c.name}")
-    hosts = list(a.hosts)
-    for h in b.hosts:
-        existing_h = next((x for x in hosts if x.name == h.name), None)
-        if existing_h is None:
-            hosts.append(h)
-        elif existing_h != h:
-            raise ValidationError(f"conflicting declarations of host {h.name}")
-    css = list(a.constraintsets)
-    for cs in b.constraintsets:
-        existing_cs = next((x for x in css if x.name == cs.name), None)
-        if existing_cs is None:
-            css.append(cs)
-        elif existing_cs != cs:
-            raise ValidationError(f"conflicting declarations of constraintset {cs.name}")
-    return validate_document(SpecDocument(tuple(components), tuple(hosts), tuple(css)))
+    merged = []
+    for what, ours, theirs in zip(_DECLARATION_KINDS, a, b):
+        decls = list(ours)
+        for decl in theirs:
+            existing = next((x for x in decls if x.name == decl.name), None)
+            if existing is None:
+                decls.append(decl)
+            elif existing != decl:
+                raise ValidationError(
+                    f"conflicting declarations of {what} {decl.name}")
+        merged.append(tuple(decls))
+    return validate_document(SpecDocument(*merged))
 
 
 # ---------------------------------------------------------------------------

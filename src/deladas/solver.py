@@ -94,7 +94,7 @@ from .evaluator import _Edge, _View, _compile
 from .lang import (And, Card, Compare, ConnectedTo, ConnectsTo, ConstraintSet,
                    DeladasError, HOST_SORT, InstancesOf, IntLiteral, Or,
                    Quantified, Reachable, SpecDocument, ValidationError,
-                   free_vars, record)
+                   connect_patterns, free_vars, record)
 from .model import (Binding, Channel, Configuration, Instance, InstanceId,
                     PortSlot, validate)
 
@@ -184,31 +184,6 @@ def _pin_floors(pins: tuple[Binding, ...]) -> dict[str, dict[str, int]]:
         per_type = floors.setdefault(pin.host, {})
         per_type[pin.type] = max(per_type.get(pin.type, 0), pin.count)
     return floors
-
-
-def connect_patterns(cs: ConstraintSet) -> list[tuple[str, str, str, str]]:
-    """Typed (src type, src port, dst type, dst port) patterns from the
-    constraintset's connectsto leaves, in first-appearance order."""
-    seen: list[tuple[str, str, str, str]] = []
-    for constraint in cs.constraints:
-        _add_patterns(constraint, {}, seen)
-    return seen
-
-
-def _add_patterns(expr, env: dict[str, str], seen: list) -> None:
-    if isinstance(expr, Quantified):
-        inner = dict(env)
-        for b in expr.binders:
-            inner[b.var] = b.sort
-        _add_patterns(expr.body, inner, seen)
-    elif isinstance(expr, (And, Or)):
-        for item in expr.items:
-            _add_patterns(item, env, seen)
-    elif isinstance(expr, ConnectsTo):
-        pat = (env.get(expr.src.var, ""), expr.src.port,
-               env.get(expr.dst.var, ""), expr.dst.port)
-        if pat not in seen:
-            seen.append(pat)
 
 
 def _placement_only(expr) -> bool:

@@ -135,6 +135,63 @@ def _loose_fresh(used: set[str]) -> str:
     return f"w{i}"
 
 
+# Names a scope mutation gives a variable: the generator's binders and a
+# card's counted variable, so most renames hit a variable of another sort.
+MUTANT_NAMES = ["v0", "v1", "v2", "v3", "w0"]
+
+
+def mutate_scopes(rng: random.Random, doc: SpecDocument) -> SpecDocument:
+    """doc with one change that may break a scope or sort rule: a variable
+    renamed where it is used or bound, a binder's sort changed, or a
+    comparison's operator changed or its operands swapped. doc itself when
+    it has no constraint."""
+    sites = [node for node in _nodes(doc.constraintsets)
+             if isinstance(node, (Var, InstancesOf, ConnectedTo, PortRef,
+                                  Reachable, Binder, Compare))]
+    if not sites:
+        return doc
+    site = rng.choice(sites)
+    name = rng.choice(MUTANT_NAMES)
+    if isinstance(site, Var):
+        new = Var(name)
+    elif isinstance(site, InstancesOf):
+        new = site._replace(host_var=name)
+    elif isinstance(site, ConnectedTo):
+        new = site._replace(**{rng.choice(["var", "peer_var"]): name})
+    elif isinstance(site, PortRef):
+        new = site._replace(var=name)
+    elif isinstance(site, Reachable):
+        new = site._replace(**{rng.choice(["a", "b"]): name})
+    elif isinstance(site, Binder):
+        new = (site._replace(var=name) if rng.random() < 0.5 else
+               site._replace(sort=rng.choice(TYPE_POOL + [HOST_SORT])))
+    elif rng.random() < 0.5:
+        new = site._replace(op=rng.choice(sorted(lang.COMPARISON_OPS)))
+    else:
+        new = Compare(site.op, site.rhs, site.lhs)
+    return _replace_node(doc, site, new)
+
+
+def _nodes(node):
+    """node and every record or tuple inside it, depth first."""
+    yield node
+    if isinstance(node, tuple):
+        for item in node:
+            yield from _nodes(item)
+
+
+def _replace_node(node, target, new):
+    """node with the object target (by identity) replaced by new."""
+    if node is target:
+        return new
+    if not isinstance(node, tuple):
+        return node
+    items = [_replace_node(item, target, new) for item in node]
+    if all(a is b for a, b in zip(items, node)):
+        return node
+    return type(node)(*items) if hasattr(node, "_fields") else tuple(items)
+
+
 def components_by(components, name):
     for c in components:
         if c.name == name:

@@ -7,6 +7,10 @@ independent reading of the language. The walker takes from the package
 only the records it reports, the errors it raises and the AST (with
 lang.free_vars); it has its own has_path.
 
+scope_faults is the package's former static walker over constraintsets,
+which the parser's scope checks replaced; it collects every fault where
+the walker raised the first.
+
 enumerate_all walks the solver's bounded space exactly as
 solver.enumerate_all does, with the solver's space builders, but judges
 every configuration by check.
@@ -215,6 +219,91 @@ def check(config: Configuration, cs: ConstraintSet,
         if not ok:
             violations.append(Violation(index, tuple(witness.items())))
     return CheckResult(not violations, tuple(violations))
+
+
+def scope_faults(doc: SpecDocument) -> list[str]:
+    """Every scope, sort and port fault of doc's constraint sets, each as
+    "constraintset NAME: message". An unbound variable has no sort, so the
+    rules about its sort are not checked."""
+    faults: list[str] = []
+    for cs in doc.constraintsets:
+        found: list[str] = []
+        for expr in cs.constraints:
+            _scope_faults(expr, {}, doc, found)
+        faults += [f"constraintset {cs.name}: {message}" for message in found]
+    return faults
+
+
+def _scope_faults(expr, env: dict[str, str], doc: SpecDocument,
+                  faults: list[str]) -> None:
+    if isinstance(expr, Quantified):
+        inner = dict(env)
+        for b in expr.binders:
+            if b.var in inner:
+                faults.append(f"variable {b.var} already bound")
+            inner[b.var] = b.sort
+        _scope_faults(expr.body, inner, doc, faults)
+    elif isinstance(expr, (And, Or)):
+        for item in expr.items:
+            _scope_faults(item, env, doc, faults)
+    elif isinstance(expr, Compare):
+        lk = _operand_kind(expr.lhs, env, faults)
+        rk = _operand_kind(expr.rhs, env, faults)
+        if lk is None or rk is None:
+            return
+        if expr.op in ("<", "<=", ">", ">="):
+            if lk != "int" or rk != "int":
+                faults.append("ordering comparison requires integer operands")
+        elif lk != rk:
+            faults.append(f"cannot compare {lk} with {rk}")
+    elif isinstance(expr, ConnectsTo):
+        for ref in (expr.src, expr.dst):
+            sort = _sort_of(ref.var, env, faults)
+            if sort == HOST_SORT:
+                faults.append(f"{ref.var} is a host variable, not an instance")
+            elif sort is not None:
+                ctype = doc.component(sort)
+                if ctype is not None and ctype.port(ref.port) is None:
+                    faults.append(f"type {sort} has no port {ref.port}")
+    elif isinstance(expr, Reachable):
+        for var in (expr.a, expr.b):
+            if _sort_of(var, env, faults) == HOST_SORT:
+                faults.append(
+                    f"reachable needs instance variables, {var} is a host")
+    else:
+        faults.append(f"unknown expression {expr!r}")
+
+
+def _sort_of(var: str, env: dict[str, str],
+             faults: list[str]) -> str | None:
+    if var not in env:
+        faults.append(f"unbound variable {var}")
+    return env.get(var)
+
+
+def _operand_kind(value, env: dict[str, str],
+                  faults: list[str]) -> str | None:
+    """int, host-var or instance-var; None for an unbound variable."""
+    if isinstance(value, IntLiteral):
+        return "int"
+    if isinstance(value, Var):
+        sort = _sort_of(value.name, env, faults)
+        if sort is None:
+            return None
+        return "host-var" if sort == HOST_SORT else "instance-var"
+    inner = value.inner
+    if isinstance(inner, InstancesOf):
+        if _sort_of(inner.host_var, env, faults) not in (None, HOST_SORT):
+            faults.append(f"instancesof needs a host variable, "
+                          f"{inner.host_var} is not one")
+    else:
+        if inner.var in env:
+            faults.append(f"variable {inner.var} already bound")
+        if inner.var == inner.peer_var:
+            faults.append("connectedto variable shadows its peer")
+        elif _sort_of(inner.peer_var, env, faults) == HOST_SORT:
+            faults.append("connectedto peer must be an instance variable")
+    return "int"
 
 
 def enumerate_all(doc: SpecDocument, cs_name: str,

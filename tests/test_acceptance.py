@@ -43,7 +43,7 @@ def test_01_source_fidelity():
         assert [(p.name, p.variadic) for p in router.ports] == [
             ("cin", True), ("cout", True), ("rin", True), ("rout", True)]
         assert [h.name for h in resources.hosts] == [f"h{i}" for i in range(1, 7)]
-        assert [h.ipaddress for h in resources.hosts] == [
+        assert [dict(h.attributes)["ipaddress"] for h in resources.hosts] == [
             f"192.168.0.{i}" for i in range(1, 7)]
         constraints = lang.parse(helpers.CONSTRAINTS_TEXT)
         cs = constraints.constraintset("randc")

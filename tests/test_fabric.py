@@ -21,6 +21,14 @@ def deployed_fabric():
     return doc, fab
 
 
+def run_to_idle(fab):
+    """Step the fabric until its queue is empty, as `deladas run` does."""
+    events = []
+    while fab.pending():
+        events += fab.step()
+    return events
+
+
 class TestBoot:
     def test_six_hosts_alive_with_amps(self):
         doc = helpers.merged_doc()
@@ -137,7 +145,7 @@ class TestEvents:
     def test_no_amp_report_for_host_crash(self):
         _, fab = deployed_fabric()
         fab.inject(CrashHost(20, "h3"))
-        events = fab.run_to_idle()
+        events = run_to_idle(fab)
         assert not any(isinstance(e, AmpReport) for e in events)
 
     def test_empty_queue_step_is_noop(self):
@@ -156,7 +164,8 @@ class TestEvents:
         _, fab = deployed_fabric()
         fab.inject(AddHost(5, HostSpec("h3", (("ipaddress", "x"),))))
         assert fab.step() == []
-        assert fab.hosts["h3"].spec.ipaddress == "192.168.0.3"
+        spec = fab.hosts["h3"].spec
+        assert dict(spec.attributes)["ipaddress"] == "192.168.0.3"
 
     def test_unknown_event_is_rejected(self):
         """Heartbeats were such an event once: nothing produced them."""
@@ -178,7 +187,7 @@ class TestEvents:
         fab.inject(CrashHost(5, "h3"))
         fab.inject(CrashHost(6, "h3"))
         fab.inject(CrashProcess(7, InstanceId("Router", "h3", 0)))
-        events = fab.run_to_idle()
+        events = run_to_idle(fab)
         assert [e for e in events if isinstance(e, HostFailureSuspected)] == [
             HostFailureSuspected(8, "h3")]
 
@@ -204,7 +213,7 @@ class TestInvariants:
     def test_no_live_machines_on_dead_hosts(self):
         _, fab = deployed_fabric()
         fab.inject(CrashHost(10, "h4"))
-        fab.run_to_idle()
+        run_to_idle(fab)
         for state in fab.hosts.values():
             if not state.alive:
                 assert all(not m.alive for m in state.machines.values())
@@ -214,7 +223,7 @@ class TestInvariants:
         fab.inject(CrashProcess(5, InstanceId("Client", "h1", 0)))
         fab.inject(CrashProcess(7, InstanceId("Client", "h2", 0)))
         fab.inject(CrashHost(9, "h5"))
-        events = fab.run_to_idle()
+        events = run_to_idle(fab)
         reports = [e for e in events if isinstance(e, AmpReport)]
         suspected = [e for e in events if isinstance(e, HostFailureSuspected)]
         assert len(reports) == 2
@@ -226,7 +235,7 @@ class TestInvariants:
             _, fab = deployed_fabric()
             fab.inject(CrashProcess(10, InstanceId("Router", "h3", 0)))
             fab.inject(CrashHost(20, "h6"))
-            fab.run_to_idle()
+            run_to_idle(fab)
             traces.append("\n".join(fab.trace))
         assert traces[0] == traces[1]
 

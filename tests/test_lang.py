@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 import generators
 import helpers
+import oracle
 from deladas import lang
 from deladas.lang import (And, Compare, ConnectsTo, LexError, Or, ParseError,
                           Quantified, Reachable, ValidationError)
@@ -27,6 +30,56 @@ LEX_TABLE = [
     ('x "a\\\nb" y', ("unterminated string literal", 1, 3)),
     ('"a"\n  "b', ("unterminated string literal", 2, 3)),
 ]
+
+# One clause per static rule, as the third line of SCOPE_HEAD's document:
+# (clause, message, (line, column) of the token at fault). The port rule
+# needs the whole document, so validate_document reports it without one.
+SCOPE_HEAD = ('component C(code = "u", ports = {in, out})\n'
+              "constraintset s = constraintset {\n")
+SCOPE_TABLE = [
+    ("forall C a, a in deployment ( a = a )",
+     "variable a already bound", (3, 13)),
+    ("forall C a in deployment ( exists C a in deployment ( a = a ) )",
+     "variable a already bound", (3, 37)),
+    ("forall C a in deployment ( b = a )", "unbound variable b", (3, 28)),
+    ("forall C a in deployment ( card(instancesof C in h) = 1 )",
+     "unbound variable h", (3, 50)),
+    ("forall C a in deployment ( card(C b connectedto p) = 1 )",
+     "unbound variable p", (3, 49)),
+    ("forall C a in deployment ( a.out connectsto b.in )",
+     "unbound variable b", (3, 45)),
+    ("forall C a in deployment ( reachable(a, b) )",
+     "unbound variable b", (3, 41)),
+    ("forall C a in deployment ( card(instancesof C in a) = 1 )",
+     "instancesof needs a host variable, a is not one", (3, 50)),
+    ("forall host h, C a in deployment ( h.out connectsto a.in )",
+     "h is a host variable, not an instance", (3, 36)),
+    ("forall host h, C a in deployment ( reachable(a, h) )",
+     "reachable needs instance variables, h is a host", (3, 49)),
+    ("forall C a, b in deployment ( a <= b )",
+     "ordering comparison requires integer operands", (3, 33)),
+    ("forall host h, C a in deployment ( h = a )",
+     "cannot compare host-var with instance-var", (3, 38)),
+    ("forall C a in deployment ( a != 1 )",
+     "cannot compare instance-var with int", (3, 30)),
+    ("forall C a, b in deployment ( card(C b connectedto a) = 1 )",
+     "variable b already bound", (3, 38)),
+    ("forall C a in deployment ( card(C b connectedto b) = 1 )",
+     "connectedto variable shadows its peer", (3, 49)),
+    ("forall host h in deployment ( card(C b connectedto h) = 1 )",
+     "connectedto peer must be an instance variable", (3, 52)),
+    ("forall C a, b in deployment ( a.zap connectsto b.in )",
+     "type C has no port zap", None),
+]
+
+_POSITION = re.compile(r"line (\d+), col (\d+): ")
+
+
+def _position(err: Exception) -> tuple[int, int] | None:
+    """The line and column a scope fault's message starts with."""
+    m = _POSITION.match(str(err))
+    return (int(m[1]), int(m[2])) if m else None
+
 
 # Random lexer inputs draw from these pieces.
 LEX_ALPHABET = list("ab_Z09 \t\r\n\"\\/!=<>(){}[],.@#") + [
@@ -124,6 +177,29 @@ class TestTokenize:
                     (repr(source), tok)
 
 
+class TestIdentifierRule:
+    @staticmethod
+    def _by_hand(text: str) -> bool:
+        """The identifier rule as isalpha/isalnum restate it."""
+        word = text.replace("_", "a")  # _ goes wherever a letter does
+        return (word[:1].isalpha() and word.isalnum()
+                and text not in lang.KEYWORDS)
+
+    def test_is_identifier_asks_the_lexer(self):
+        """lang._is_identifier agrees with the rule stated by hand on every
+        keyword and on sampled code points alone, after `a`, before `a`
+        and after `_`."""
+        rng = helpers.rng(11)
+        points = list(range(128)) + rng.sample(range(128, 0x110000), 5000)
+        texts = sorted(lang.KEYWORDS) + [
+            text for p in points
+            for text in (chr(p), "a" + chr(p), chr(p) + "a", "_" + chr(p))]
+        assert [t for t in texts
+                if lang._is_identifier(t) != self._by_hand(t)] == []
+        assert lang._is_identifier("a\u00b2")
+        assert not lang._is_identifier("\u00b2a")
+
+
 class TestParseFigures:
     def test_resources_figure(self):
         doc = helpers.resources_doc()
@@ -135,7 +211,7 @@ class TestParseFigures:
             ("cin", True), ("cout", True), ("rin", True), ("rout", True)]
         assert client.code == "file:///D:ClientBundle.xml"
         assert [h.name for h in doc.hosts] == ["h1", "h2", "h3", "h4", "h5", "h6"]
-        assert [h.ipaddress for h in doc.hosts] == [
+        assert [dict(h.attributes)["ipaddress"] for h in doc.hosts] == [
             f"192.168.0.{i}" for i in range(1, 7)]
 
     def test_constraints_figure(self):
@@ -255,6 +331,48 @@ class TestParseRules:
         with pytest.raises(ValidationError, match="no port zap"):
             lang.parse(text)
 
+    @pytest.mark.parametrize("clause, message, position", SCOPE_TABLE)
+    def test_scope_rule(self, clause, message, position):
+        with pytest.raises(ValidationError) as err:
+            lang.parse(SCOPE_HEAD + clause + "\n}")
+        assert _position(err.value) == position
+        assert (_POSITION.sub("", str(err.value))
+                == f"constraintset s: {message}")
+
+    def test_first_fault_in_source_order_is_reported(self):
+        """A scope fault before a syntax error is the one reported."""
+        with pytest.raises(ValidationError, match="unbound variable b"):
+            lang.parse(SCOPE_HEAD + "forall C a in deployment ( b = a ) )}")
+
+    def test_peer_must_be_an_identifier(self):
+        """A string spelled like the counted variable is no peer at all."""
+        with pytest.raises(ParseError, match="expected variable"):
+            lang.parse(SCOPE_HEAD + "forall C a in deployment ("
+                       ' card(C b connectedto "b") = 1 )\n}')
+
+    def test_scope_faults_match_the_reference(self):
+        """Scope-mutated generator documents: the parser accepts exactly
+        those the reference walker finds no fault in, and reports the
+        reference's fault when it finds one."""
+        rng = helpers.rng(23)
+        faulty = single = 0
+        for _ in range(400):
+            doc = generators.mutate_scopes(rng, generators.gen_document(rng))
+            faults = oracle.scope_faults(doc)
+            text = lang.pretty_print(doc)
+            try:
+                parsed = lang.parse(text)
+            except ValidationError as err:
+                assert faults, text
+                faulty += 1
+                if len(faults) == 1:
+                    single += 1
+                    assert _POSITION.sub("", str(err)) == faults[0], text
+            else:
+                assert faults == [], text
+                assert parsed == doc
+        assert faulty > 50 and single > 30
+
     def test_parse_error_reports_expectation(self):
         with pytest.raises(ParseError) as err:
             lang.parse("component C(")
@@ -275,7 +393,8 @@ class TestParseRules:
             with pytest.raises(ParseError, match="nested deeper"):
                 lang.parse(self._nested(depth))
         quantifiers = ("constraintset g = constraintset { "
-                       + "forall host h in deployment (" * lang.MAX_NESTING
+                       + "".join(f"forall host h{i} in deployment ("
+                                 for i in range(lang.MAX_NESTING))
                        + "1 = 1" + ")" * lang.MAX_NESTING + " }")
         with pytest.raises(ParseError, match="nested deeper"):
             lang.parse(quantifiers)
@@ -346,19 +465,25 @@ class TestPositionSoundness:
     def test_mutations(self, source_name):
         source = (helpers.RESOURCES_TEXT if source_name == "resources"
                   else helpers.CONSTRAINTS_TEXT)
-        checked = 0
+        checked = placed = 0
         for index, tokens, replacement in self._mutations(source):
             for mutated in (self._rebuild(tokens, index, replacement),
                             self._rebuild(tokens, index, None)):
+                remaining = lang.tokenize(mutated)
+                positions = {(t.line, t.column) for t in remaining}
                 try:
                     lang.parse(mutated)
                 except ParseError as err:
                     assert err.token_index >= index
-                    remaining = lang.tokenize(mutated)
-                    positions = {(t.line, t.column) for t in remaining}
                     if err.token_index < len(remaining):
                         assert (err.line, err.column) in positions
                     checked += 1
-                except (ValidationError, LexError):
+                except ValidationError as err:
+                    # A scope fault names the token at fault.
+                    if _position(err) is not None:
+                        assert _position(err) in positions
+                        placed += 1
+                except LexError:
                     pass
         assert checked > 10
+        assert placed > 0 or source_name == "resources"
