@@ -2,13 +2,16 @@
 
 A constraint compiles, against a _View, into a closure that returns True
 (the constraint holds in every completion of the view), False (it holds in
-none) or None (not yet known). The solver compiles its goal once per
-search, over a view of count intervals and of edges included (sure) or not
-yet excluded (possible). check compiles it once per constraint set and
-runs it over the view of one complete configuration at a time, where
+none) or None (not yet known). solve and check take their compiled goals
+from one per-thread cache keyed by constraint set and component
+declarations (_program), so a process compiles a goal once for each of
+them, whatever the host list. The solver's program reads a view of count
+intervals and of edges included (sure) or not yet excluded (possible).
+check's reads the view of one complete configuration at a time, where
 every interval is exact and sure equals possible, so every value is
 definite: a complete instance is the case lower bound == upper bound
-(Torlak & Jackson, "Kodkod: A Relational Model Finder", TACAS 2007). The tests judge both against an independent reference walker.
+(Torlak & Jackson, "Kodkod: A Relational Model Finder", TACAS 2007). The
+tests judge both against an independent reference walker.
 
 Evaluation is pure and deterministic: quantifiers range in canonical order
 (hosts in declaration order, instances in configuration order), and check
@@ -137,8 +140,10 @@ class _EdgeSet:
 
 
 class _View:
-    """What the compiled clauses read. The solver mutates its view in
-    place; so does check, refilling an exact one for each configuration.
+    """What the compiled clauses read. The solver refills its view for each
+    search and mutates it in place while searching; check refills an exact
+    one for each configuration. The closures hold the view's lists and
+    containers, so start resizes and empties them in place.
 
     Host variables hold host positions and instance variables instance
     numbers. lo[t][h] and hi[t][h] bound the number of t instances on host
@@ -147,16 +152,28 @@ class _View:
     decision that led to the node being evaluated: True for an include,
     False for an exclude, None otherwise."""
 
-    def __init__(self, host_names: list[str], lo: dict[str, list[int]],
-                 hi: dict[str, list[int]]):
-        self.host_names = host_names
-        self.hosts = range(len(host_names))
-        self.zeros = [0] * len(host_names)
-        self.lo, self.hi = lo, hi
+    def __init__(self, types: list[str]):
+        self.host_names: list[str] = []
+        self.hosts: list[int] = []
+        self.zeros: list[int] = []
+        self.lo: dict[str, list[int]] = {t: [] for t in types}
+        self.hi: dict[str, list[int]] = {t: [] for t in types}
         self.members: dict[str, list[int]] = {}
         self.sure = _EdgeSet()
         self.possible = _EdgeSet()
         self.move: bool | None = None
+
+    def start(self, host_names: list[str]) -> None:
+        """Show the given hosts with no instance or edge. lo and hi keep
+        their values, and the caller sizes and fills them."""
+        self.host_names[:] = host_names
+        self.hosts[:] = range(len(host_names))
+        self.zeros[:] = [0] * len(host_names)
+        for members in self.members.values():
+            members.clear()
+        self.sure.reset([])
+        self.possible.reset([])
+        self.move = None
 
     def counts(self, type_name: str) -> tuple[list[int], list[int]]:
         """lo and hi of a type; a type without counts has no instance."""
@@ -346,29 +363,40 @@ def has_path(adj, a, b) -> bool:
     return False
 
 
-# Compiled constraint sets, per thread since check refills a program's view
-# in place. Records compare by value, so equal constraint sets share one.
+# Compiled goals, per thread since a goal's view is refilled in place for
+# every call. Records compare by value, so equal goals share one program.
 _PROGRAMS = threading.local()
-_PROGRAMS_KEPT = 16  # the oldest program is dropped beyond this many
+_PROGRAMS_KEPT = 16  # the least recently used program is dropped beyond this
 
 
-def _program(cs: ConstraintSet, hosts: tuple[str, ...],
-             types: tuple[str, ...]) -> tuple:
-    """cs compiled over an exact view of the hosts and component types:
-    the view, the env slots and one closure per constraint."""
+def _program(kind, cs: ConstraintSet, components: tuple):
+    """kind(cs, components), compiled once per thread and kept while it is
+    among the _PROGRAMS_KEPT most recently used. kind is the compiler:
+    _exact for check, the solver's for its search. Neither reads the host
+    list, so one program serves every host list (see _View.start); the
+    solver's reads the port declarations, so the key holds those and not
+    only the type names."""
     programs = _PROGRAMS.__dict__.setdefault("by_key", {})
-    key = (cs, hosts, types)
-    if key not in programs:
-        counts = {t: [0] * len(hosts) for t in types}
-        view = _View(list(hosts), counts, counts)
-        view.members.update((t, []) for t in types)
-        view.possible = view.sure
-        env: list = []
-        closures = [_compile(c, view, {}, env) for c in cs.constraints]
+    key = (kind, cs, components)
+    program = programs.pop(key, None)  # reinserted last: most recently used
+    if program is None:
+        program = kind(cs, components)
         if len(programs) >= _PROGRAMS_KEPT:
             del programs[next(iter(programs))]
-        programs[key] = view, env, closures
-    return programs[key]
+    programs[key] = program
+    return program
+
+
+def _exact(cs: ConstraintSet, components: tuple) -> tuple:
+    """cs compiled over an exact view of the component types: the view, the
+    env slots and one closure per constraint."""
+    types = [c.name for c in components]
+    view = _View(types)
+    view.hi = view.lo
+    view.possible = view.sure
+    view.members.update((t, []) for t in types)
+    env: list = []
+    return view, env, [_compile(c, view, {}, env) for c in cs.constraints]
 
 
 def check(config: Configuration, cs: ConstraintSet,
@@ -379,18 +407,17 @@ def check(config: Configuration, cs: ConstraintSet,
     every caller validates first. The constraints run over the
     configuration's exact view: per host and type, lo == hi == the number
     of instances; members lists each type's instances in configuration
-    order; sure and possible are both its channels. They are compiled once
-    per constraint set, host names and component types (see _program),
-    and the view is refilled for each call."""
-    hosts = tuple(h.name for h in config.hosts)
-    view, env, closures = _program(cs, hosts,
-                                   tuple(c.name for c in doc.components))
+    order; sure and possible are both its channels. check and the solver
+    take their compiled goals from one per-thread cache keyed by constraint
+    set and component declarations (see _program), and check refills its
+    view for each call."""
+    view, env, closures = _program(_exact, cs, doc.components)
+    hosts = [h.name for h in config.hosts]
+    view.start(hosts)
     position = {name: h for h, name in enumerate(hosts)}
     number = {inst.id: n for n, inst in enumerate(config.instances)}
     for counts in view.lo.values():
         counts[:] = view.zeros
-    for members in view.members.values():
-        members.clear()
     for n, inst in enumerate(config.instances):
         view.lo[inst.type][position[inst.id.host]] += 1
         view.members[inst.type].append(n)

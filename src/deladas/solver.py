@@ -1,12 +1,17 @@
 """Configuration search: find placements and wirings satisfying a goal.
 
 The search runs in two phases, both depth-first and both pruned by a
-three-valued evaluation of the constraints, compiled once per search by
-the evaluator's compile layer into closures over the state the search
-mutates (evaluator._View): False means false in every completion of the
-current node, True means true in every completion. A quantifier drops the
-binders its body does not mention while their range is non-empty
-(miniscoping), so nested quantifiers cost linear time.
+three-valued evaluation of the constraints, compiled by the evaluator's
+compile layer into closures over the state the search mutates
+(evaluator._View): False means false in every completion of the current
+node, True means true in every completion. A quantifier drops the binders
+its body does not mention while their range is non-empty (miniscoping),
+so nested quantifiers cost linear time. solve and evaluator.check take
+their compiled goals from one per-thread cache keyed by constraint set and
+component declarations (evaluator._program). A search's program (_Program)
+holds all that depends on the goal alone, so a goal is compiled once per
+process, and each search only refills the view for its hosts, pins and
+per-host bound.
 
 Ground items. A top-level `forall` whose body mentions its first binder is
 split into one item per value of that binder: a host position while
@@ -486,40 +491,67 @@ def _count_vectors(types: list[str], per_host: int, floors: dict[str, int]):
     return out
 
 
+class _Program(NamedTuple):
+    """What a search needs of its goal, compiled once per goal (see
+    evaluator._program) and independent of hosts, pins and options: the
+    view the clauses read and their env slots, the compiled clauses and
+    which of them are placement-only, the derived bounds, the connectsto
+    patterns and the non-variadic port families."""
+
+    view: _View
+    env: list
+    clauses: list[_Clause]
+    placement_clauses: tuple[int, ...]
+    wiring_clauses: tuple[int, ...]
+    bounds: list[tuple[str, str, int]]
+    patterns: list[tuple[str, str, str, str]]
+    fixed_ports: set[tuple[str, str]]
+
+
+def _compile_search(cs: ConstraintSet, components: tuple) -> _Program:
+    """cs compiled for searches over the component types (see _Program)."""
+    view = _View([c.name for c in components])
+    env: list = [None]
+    placing = [_placement_only(c) for c in cs.constraints]
+    return _Program(
+        view, env,
+        [_compile_clause(c, view, env, p)
+         for c, p in zip(cs.constraints, placing)],
+        tuple(i for i, p in enumerate(placing) if p),
+        tuple(i for i, p in enumerate(placing) if not p),
+        cardinality_bounds(cs), connect_patterns(cs),
+        # Non-variadic ports admit a single channel per instance.
+        {(c.name, p.name) for c in components
+         for p in c.ports if not p.variadic})
+
+
 class _Search:
     def __init__(self, doc: SpecDocument, cs: ConstraintSet, opts: SolveOptions):
         self.doc = doc
         self.cs = cs
         self.opts = opts
-        self.patterns = connect_patterns(cs)
+        (self.view, self.env, self.clauses, self.placement_clauses,
+         self.wiring_clauses, self.bounds, self.patterns,
+         self.fixed_ports) = evaluator._program(_compile_search, cs,
+                                                doc.components)
         self.placement_nodes = 0
         self.wiring_nodes = 0
         self.evaluations = 0
+        self.bound_cuts = 0
         self.solutions: list[Configuration] = []
         prior = opts.prior.channels if opts.prior is not None else ()
         self.prior_edges = {(ch.src.instance, ch.src.port, ch.dst.instance,
                              ch.dst.port) for ch in prior}
         self.pin_floors = _pin_floors(opts.pins)
-        # Non-variadic ports admit a single channel per instance.
-        self.fixed_ports = {(c.name, p.name) for c in doc.components
-                            for p in c.ports if not p.variadic}
-        placing = [_placement_only(c) for c in cs.constraints]
-        self.placement_clauses = tuple(
-            i for i, p in enumerate(placing) if p)
-        self.wiring_clauses = tuple(
-            i for i, p in enumerate(placing) if not p)
-        self.bounds = cardinality_bounds(cs)
-        self.bound_cuts = 0
         hosts = [h.name for h in doc.hosts]
+        self.view.start(hosts)
         # An unplaced host reads [pin floor, per-host bound].
-        self.view = _View(
-            hosts, {c.name: [self.pin_floors.get(h, {}).get(c.name, 0)
-                             for h in hosts] for c in doc.components},
-            {c.name: [opts.max_instances_per_host] * len(hosts)
-             for c in doc.components})
-        self.env: list = [None]
-        self.clauses = [_compile_clause(c, self.view, self.env, p)
-                        for c, p in zip(cs.constraints, placing)]
+        for type_name, lo in self.view.lo.items():
+            lo[:] = [self.pin_floors.get(h, {}).get(type_name, 0)
+                     for h in hosts]
+        bound = [opts.max_instances_per_host] * len(hosts)
+        for hi in self.view.hi.values():
+            hi[:] = bound
 
     def run(self) -> bool:
         """Search placements and wirings; returns True if fully explored."""
@@ -794,14 +826,14 @@ def resolve_with_relaxation(doc: SpecDocument, cs_name: str,
     position = {h.name: i for i, h in enumerate(doc.hosts)}
     ordered = tuple(sorted(pins, key=lambda b: (
         position.get(b.host, len(position)), b.host, b.type)))
+    # Bad pins or options make the all-pins solve raise, so check them
+    # before the goal is compiled or any solve is skipped.
+    _check_options(doc, opts._replace(pins=ordered, solution_limit=1))
     cs = doc.constraintset(cs_name)
-    bounds = cardinality_bounds(cs) if cs is not None else []
+    bounds = (evaluator._program(_compile_search, cs, doc.components).bounds
+              if cs is not None else [])
     hosts, per_host = len(doc.hosts), opts.max_instances_per_host
     shortfalls = _pin_shortfalls(bounds, ordered, hosts, per_host)
-    if any(d > 0 for d in shortfalls):
-        # Bad pins or options make the all-pins solve raise. That solve is
-        # skipped here, so check them before anything else is.
-        _check_options(doc, opts._replace(pins=ordered, solution_limit=1))
     gains = [sorted((p.count * ((p.type == x) + k * (p.type != y))
                      for p in ordered), reverse=True) for x, y, k in bounds]
     for size in range(len(ordered) + 1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from deladas import lang
+from deladas import evaluator, lang, solver
 from deladas.model import Channel, Configuration, Instance, InstanceId, PortSlot
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -101,3 +101,37 @@ def randc_doc(hosts: int) -> lang.SpecDocument:
 
 def rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
+
+
+def forget_programs() -> None:
+    """Empty this thread's cache of compiled goals (evaluator._program), so
+    the next solve or check of any goal compiles it."""
+    evaluator._PROGRAMS.__dict__.clear()
+
+
+def record_compiles(monkeypatch) -> list:
+    """From now on, append the expression of every evaluator._compile call,
+    the solver's included, to the returned list, and compile as before."""
+    compiled, real = [], evaluator._compile
+
+    def recording(expr, *args):
+        compiled.append(expr)
+        return real(expr, *args)
+    monkeypatch.setattr(evaluator, "_compile", recording)
+    monkeypatch.setattr(solver, "_compile", recording)
+    return compiled
+
+
+def outcome(out):
+    """A SolveOutcome without its wall-clock seconds, for comparing."""
+    return out._replace(stats=out.stats._replace(seconds=0.0))
+
+
+def small_goals(count: int) -> list[lang.SpecDocument]:
+    """count one-host documents, each with a different goal named goal."""
+    return [parse_snippet(
+        'component A(code = "a", ports = {p})\n'
+        'host m0 = host(ipaddress = "1")\n'
+        "constraintset goal = constraintset {\n"
+        f"  forall host h in deployment ( card(instancesof A in h) <= {n} )\n"
+        "}\n") for n in range(1, count + 1)]

@@ -8,11 +8,13 @@ import pytest
 import generators
 import helpers
 import oracle
-from deladas import evaluator, lang, model
+from deladas import evaluator, fabric, lang, madme, model, solver
 from deladas.evaluator import (EvalTypeError, HostBinding, InstanceBinding,
                                UnknownInstance, check, connected_instances,
                                reachable)
+from deladas.fabric import CrashHost, HostFailureSuspected
 from deladas.model import Channel, Configuration, Instance, InstanceId
+from deladas.solver import SolveOptions
 
 
 class TestCheckExamples:
@@ -68,6 +70,70 @@ class TestCheckExamples:
         for config in (empty, full, empty):
             assert check(config, cs, doc) == oracle.check(config, cs, doc)
         assert compiled == []
+
+    @staticmethod
+    def _crash_h3(monkeypatch=None):
+        """The example deployment after h3 crashes: the decisions and the
+        trace of the manager's re-solve. With monkeypatch, the evaluator's
+        compiles from the deployment on are returned too; without, the
+        re-solve compiles its goal afresh."""
+        doc = helpers.merged_doc()
+        manager = madme.Manager(doc, "randc",
+                                fabric.boot(list(doc.hosts), seed=0))
+        compiled = helpers.record_compiles(monkeypatch) if monkeypatch else []
+        example = helpers.example_configuration()
+        manager.deploy_initial(tuple(model.bindings_of(example)), prior=example)
+        manager.fabric.inject(CrashHost(20, "h3"))
+        manager.fabric.step()
+        if monkeypatch is None:
+            helpers.forget_programs()
+        decisions = manager.on_events([HostFailureSuspected(23, "h3")])
+        return (decisions, manager.deployed, manager.fabric.trace), compiled
+
+    def test_solve_compiles_a_goal_once(self, monkeypatch):
+        """After one solve of a goal, pinned solves with a prior at 4-8
+        hosts and a manager's re-solve after a host crash compile nothing,
+        and each outcome equals that of a solve that compiled the goal
+        afresh."""
+        cases = []
+        for hosts in range(4, 9):
+            doc = helpers.randc_doc(hosts)
+            first, second = solver.solve(
+                doc, "randc", SolveOptions(solution_limit=2)).solutions
+            cases.append((doc, SolveOptions(
+                pins=tuple(model.bindings_of(first))[1:], prior=second)))
+        fresh = []
+        for doc, opts in cases:
+            helpers.forget_programs()
+            fresh.append(helpers.outcome(solver.solve(doc, "randc", opts)))
+        crash, _ = self._crash_h3()
+        helpers.forget_programs()
+        solver.solve(helpers.randc_doc(4), "randc")
+        compiled = helpers.record_compiles(monkeypatch)
+        assert [helpers.outcome(solver.solve(doc, "randc", opts))
+                for doc, opts in cases] == fresh
+        assert compiled == []
+        assert self._crash_h3(monkeypatch) == (crash, [])
+        assert isinstance(crash[0][0], madme.Resolve)
+
+    def test_a_goal_in_use_stays_compiled_among_other_goals(self,
+                                                            monkeypatch):
+        """The cache drops its least recently used program: a goal checked
+        and solved after each of 16 other goals, each solved (a search and
+        a check program), is never compiled again."""
+        doc = helpers.merged_doc()
+        cs = doc.constraintset("randc")
+        config = helpers.example_configuration()
+        helpers.forget_programs()
+        solver.solve(doc, "randc")
+        compiled = helpers.record_compiles(monkeypatch)
+        for other in helpers.small_goals(16):
+            assert solver.solve(other, "goal").solutions
+            assert compiled
+            compiled.clear()
+            assert check(config, cs, doc).satisfied
+            assert solver.solve(doc, "randc").solutions
+            assert compiled == []
 
     def test_check_leaves_no_reference_cycles(self):
         """Everything a check allocates is freed by reference counting, so

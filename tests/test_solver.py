@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -728,6 +729,21 @@ class TestSolutionOrderLock:
         assert got == self.RANDC_NODES
         assert evaluations == self.RANDC_EVALUATIONS
 
+    def test_a_stopped_search_leaves_nothing_behind(self):
+        """A goal's compiled clauses read one view, refilled for every
+        search: after a pinned 8-host solve with two instances per host,
+        stopped by its node budget partway through wiring, solves at other
+        host counts give the locked sequences and counts."""
+        doc = helpers.randc_doc(8)
+        first = solve(doc, "randc").solutions[0]
+        stopped = solve(doc, "randc", SolveOptions(
+            max_instances_per_host=2, pins=tuple(model.bindings_of(first))[1:],
+            prior=first, node_budget=30))
+        assert not stopped.solutions and not stopped.exhausted
+        assert stopped.stats.wiring_nodes > 0
+        self.test_randc_first_ten_solutions()
+        self.test_randc_node_counts()
+
     # Ground items evaluated on 100 generated goals (up to 50 solutions, two
     # instances per host), as a digest of the counts in order. A node that
     # cuts stops at its first False item, so the counts pin the order in
@@ -1253,7 +1269,8 @@ class TestFrameDepth:
         """Both phases loop over explicit stacks, so a solve's deepest Python
         frame lies as far below its caller at 12 hosts as at 4. (Recursing
         once per host and per channel took it 24 frames deep at 4 hosts and
-        100 at 12.)"""
+        100 at 12.) Both solves compile the goal, whose depth follows its
+        nesting, not the hosts."""
         def depth(frame):
             n = 0
             while frame is not None:
@@ -1268,6 +1285,7 @@ class TestFrameDepth:
             def profile(frame, event, arg):
                 if event == "call":
                     peak[0] = max(peak[0], depth(frame))
+            helpers.forget_programs()
             sys.setprofile(profile)
             try:
                 solve(doc, "randc")
@@ -1330,6 +1348,48 @@ class TestNoReferenceCycles:
                 assert gc.collect() == 0
             finally:
                 gc.enable()
+
+    def test_compiling_and_evicting_goals_leaves_no_cycles(self):
+        """A solve that compiles its goal, dropping the least recently used
+        programs to keep it, frees them by reference counting too."""
+        others = helpers.small_goals(16)
+        for hosts in (4, 6):
+            helpers.forget_programs()
+            for other in others:
+                solve(other, "goal")
+            gc.collect()
+            gc.disable()
+            try:
+                solve(helpers.randc_doc(hosts), "randc")
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+
+class TestThreads:
+    def test_threads_solve_as_one_thread_does(self):
+        """Each thread keeps its own compiled goals, whose views a search
+        mutates: two threads solving 5 and 8 hosts 20 times each, switching
+        often, get the outcomes of solves in one thread."""
+        docs = [helpers.randc_doc(hosts) for hosts in (5, 8)]
+        want = [helpers.outcome(solve(doc, "randc")) for doc in docs] * 20
+        got: list[list] = [[], []]
+
+        def work(out):
+            for _ in range(20):
+                out.extend(helpers.outcome(solve(doc, "randc")) for doc in docs)
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want, want]
 
 
 class TestPlacementPruning:
