@@ -7,6 +7,11 @@ so the only signal is a HostFailureSuspected event HEARTBEAT_TIMEOUT ticks
 later. Everything is driven by an event queue ordered by (tick, insertion);
 identical boot arguments and injected events produce byte-identical traces.
 
+Channel conservation: a machine holds every channel at it, and only those.
+Wire adds a channel to both ends and Unwire discards it from both; a crash
+or termination removes each of the machine's channels from the peer in the
+same tick, so repairing one process costs in proportion to its channels.
+
 Scenario files: one event per line, `#` comments:
 
     at <tick> crash-process <InstanceId>
@@ -148,7 +153,7 @@ class Fabric:
     # -- trace ---------------------------------------------------------------
 
     def log(self, kind: str, *args: object) -> None:
-        parts = " ".join(str(a) for a in args)
+        parts = " ".join(map(str, args))
         self.trace.append(f"{self.clock} {kind} {parts}".rstrip())
 
     # -- queue ----------------------------------------------------------------
@@ -192,18 +197,15 @@ class Fabric:
         return Observed(Configuration.build(hosts, instances, channels),
                         frozenset(installed))
 
-    def _drop_channels_touching(self, instance: InstanceId) -> None:
-        # Conservation: channels die in the same tick as an endpoint.
-        for state in self.hosts.values():
-            for machine in state.machines.values():
-                machine.channels = {
-                    ch for ch in machine.channels
-                    if ch.src.instance != instance and ch.dst.instance != instance}
-
     def _kill_machine(self, machine: MachineState) -> None:
+        # Conservation: channels die in the same tick as an endpoint. The
+        # machine holds every channel at it, so its own set names each peer
+        # (and its own end, now empty).
         machine.alive = False
-        machine.channels = set()
-        self._drop_channels_touching(machine.instance)
+        channels, machine.channels = machine.channels, set()
+        for ch in channels:
+            for slot in (ch.src, ch.dst):
+                self.machine(slot.instance).channels.discard(ch)
 
     # -- event processing ------------------------------------------------------
 

@@ -9,7 +9,9 @@ peers (a peer that is down too wires the rest when it restarts); a host
 failure or a revised goal drops every host the fabric shows down and
 re-solves with the observed bindings pinned, relaxing pins progressively;
 if nothing works, or the search runs out of node budget before it can tell,
-a constraint error is issued and the fabric is left untouched.
+a constraint error is issued and the fabric is left untouched. A restart
+reads only the deployed channels at the instance: the manager indexes them
+by instance whenever its deployment changes.
 
 External interface: five methods over length-prefixed frames (4-byte
 big-endian payload length, UTF-8 payload). Requests put the method name on
@@ -35,7 +37,7 @@ from .ddd import EnactmentPlan
 from .fabric import (AddHost, AmpReport, DuplicateHost, Fabric, HostDown,
                      HostFailureSuspected, Revise)
 from .lang import DeladasError, HostSpec, SpecDocument, record
-from .model import Binding, Configuration, Instance, InstanceId
+from .model import Binding, Channel, Configuration, Instance, InstanceId
 
 if TYPE_CHECKING:
     import socket
@@ -121,6 +123,22 @@ class Manager:
         self.options = options or solver.SolveOptions()
         self.deployed = model.empty_on(doc.hosts)
 
+    @property
+    def deployed(self) -> Configuration:
+        return self._deployed
+
+    @deployed.setter
+    def deployed(self, config: Configuration) -> None:
+        """Also index config's channels by instance, each with its peer,
+        in config's (canonical) order."""
+        at: dict[InstanceId, list[tuple[Channel, InstanceId]]] = {
+            iid: [] for iid in config.instance_ids()}
+        for ch in config.channels:
+            at[ch.src.instance].append((ch, ch.dst.instance))
+            at[ch.dst.instance].append((ch, ch.src.instance))
+        self._deployed = config
+        self._channels_at = at
+
     # -- helpers ----------------------------------------------------------------
 
     def _cs(self) -> lang.ConstraintSet:
@@ -190,16 +208,13 @@ class Manager:
     def _restart(self, instance: InstanceId) -> Decision:
         """Reconcile one instance's neighbourhood: the instance and each
         deployed channel of it whose peer runs."""
-        if instance not in set(self.deployed.instance_ids()):
+        channels = self._channels_at.get(instance)
+        if channels is None:
             return self._record(NoOp(f"{instance} is not part of the deployment"))
         host = self.fabric.hosts.get(instance.host)
         if host is None or not host.alive:
             return self._record(NoOp(f"host {instance.host} is down"))
-        wanted = tuple(ch for ch in self.deployed.channels
-                       if (ch.src.instance == instance
-                           and self._running(ch.dst.instance))
-                       or (ch.dst.instance == instance
-                           and self._running(ch.src.instance)))
+        wanted = tuple(ch for ch, peer in channels if self._running(peer))
         # diff reads only instances and channels, in any order.
         me = (Instance(instance, instance.type),)
         live = (Configuration((), me, tuple(self.fabric.machine(instance).channels))

@@ -14,16 +14,18 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# The spans traced.layer_metrics reads that a cold satisfy and a host-crash
-# repair record. ddd.parse_ddd and the handle_request spans come from the
-# benchmark's traced server, which this test does not start.
+# The spans traced.layer_metrics reads that a cold satisfy, a host-crash
+# repair and a process-crash restart record. ddd.parse_ddd and the
+# handle_request spans come from the benchmark's traced server, which this
+# test does not start.
 SPANS = ("solver.solve", "solver.resolve_with_relaxation", "evaluator.check",
          "lang.parse", "ddd.to_xml", "ddd.diff", "fabric.step",
          "fabric.apply_plan", "madme.on_events")
 COUNTS = ("solver.solve_calls", "solver.nodes", "solver.relax_solves",
           "evaluator.check_calls", "lang.parse_calls", "lang.tokens",
           "ddd.plan_actions", "ddd.bytes_out", "fabric.actions_applied",
-          "fabric.trace_lines", "madme.decisions.resolve")
+          "fabric.trace_lines", "madme.decisions.resolve",
+          "madme.decisions.restart")
 
 
 def _load(name: str):
@@ -40,18 +42,20 @@ def test_traced_layers_record_their_spans():
     core, spans = _load("core"), _load("spans")
     golden = core.load_golden()
     dep = core.Deployment8()
-    episode = dep.by_name[core.PROBE_EPISODES["router_host"]]
+    episodes = [dep.by_name[core.PROBE_EPISODES[kind]]
+                for kind in ("router_host", "process")]
     originals = (solver.solve, fabric.Fabric.step)
     rec = spans.Recorder()
     try:  # restore even when install stops halfway
         spans.install(rec)
         doc, outcome, xml = core.cold_satisfy(4)
-        result = core.run_episode(dep, episode)
+        results = [core.run_episode(dep, episode) for episode in episodes]
     finally:
         rec.restore()
     assert (solver.solve, fabric.Fabric.step) == originals
     assert core.satisfy_problems(4, doc, outcome, xml, golden) == []
-    assert core.episode_problems(result, episode, golden) == []
+    for result, episode in zip(results, episodes):
+        assert core.episode_problems(result, episode, golden) == []
     recorded = {name for name, *_ in rec.spans}
     assert [name for name in SPANS if name not in recorded] == []
     assert "fabric.boot" in recorded

@@ -1,4 +1,5 @@
 import socket
+import sys
 import threading
 
 import pytest
@@ -193,6 +194,36 @@ class TestProcessFailure:
         observed = fab.observed().config
         assert observed.instances == manager.deployed.instances
         assert observed.channels == manager.deployed.channels
+
+    def test_restart_cost_does_not_grow_with_the_deployment(self):
+        """A crash and its restart read only the instance's channels: one
+        client of randc's first solution makes as many Python calls at 8,
+        16 and 32 hosts. Only equality is asserted, since the count itself
+        differs between Python versions."""
+        calls = []
+        for hosts in (8, 16, 32):
+            doc = helpers.randc_doc(hosts)
+            config = solver.solve(doc, "randc").solutions[0]
+            fab = fabric_mod.boot(list(doc.hosts))
+            manager = Manager(doc, "randc", fab)
+            manager.deploy_initial(tuple(model.bindings_of(config)), config)
+            client = next(i.id for i in config.instances if i.type == "Client")
+            fab.inject(CrashProcess(10, client))
+            count = [0]
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    count[0] += 1
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                decisions = manager.on_events(fab.step())
+            finally:
+                sys.setprofile(previous)
+            assert decisions == [RestartInPlace(client)]
+            assert fab.observed().config.channels == manager.deployed.channels
+            calls.append(count[0])
+        assert calls[0] == calls[1] == calls[2], calls
 
 
 class TestHostFailure:

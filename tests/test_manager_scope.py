@@ -3,11 +3,14 @@
 Every crash the scenario language can express on a small deployment is
 taken singly, as a same-tick pair and as an ordered pair one tick apart,
 with host arrivals and revisions mixed in, and a seeded random suite runs
-longer scenarios. After every fabric step the manager must agree with the
-fabric: what observed() reports is what the machines run, and it equals the
-deployment restricted to the alive hosts. No exception may leave on_events,
-a constraint error must be proved by enumerate_all, and a scenario that
-raises none ends in a deployment that satisfies the goal.
+longer scenarios. Right after every fabric step, and again after the
+manager reacts, each channel a machine holds must be at that machine, and
+both its ends must run and hold it. After the reaction the manager must
+also agree with the fabric: what observed() reports is what the machines
+run, and it equals the deployment restricted to the alive hosts. No
+exception may leave on_events, a constraint error must be proved by
+enumerate_all, and a scenario that raises none ends in a deployment that
+satisfies the goal.
 """
 
 import itertools
@@ -38,6 +41,24 @@ def live(fab) -> tuple[set, set]:
     return instances, channels
 
 
+def channel_problems(fab) -> list[str]:
+    """Channel conservation: a machine holds only channels at it, and both
+    ends of each are alive machines that hold it."""
+    problems = []
+    for state in fab.hosts.values():
+        for machine in state.machines.values():
+            for ch in machine.channels:
+                if machine.instance not in (ch.src.instance, ch.dst.instance):
+                    problems.append(f"{machine.instance} holds {ch}, "
+                                    f"which is not at it")
+                for slot in (ch.src, ch.dst):
+                    end = fab.machine(slot.instance)
+                    if end is None or not end.alive or ch not in end.channels:
+                        problems.append(f"{machine.instance} holds {ch}, "
+                                        f"but {slot.instance} does not")
+    return problems
+
+
 def unproven(manager, decision) -> list[str]:
     """A constraint error stands only if no configuration exists."""
     if not decision.detail.startswith("no configuration satisfies"):
@@ -56,7 +77,7 @@ def step_problems(manager, decisions) -> list[str]:
     fab = manager.fabric
     observed = fab.observed().config
     seen = (set(observed.instance_ids()), set(observed.channels))
-    problems = []
+    problems = channel_problems(fab)
     if seen != live(fab):
         problems.append("observed() differs from the machines")
     alive = {name for name, state in fab.hosts.items() if state.alive}
@@ -79,7 +100,10 @@ def run_scenario(doc, events, pins=(), prior=None) -> list[str]:
     errored = False
     while fab.pending():
         try:
-            decisions = manager.on_events(fab.step())
+            events = fab.step()
+            problems += [f"{fab.clock}: after the step: {p}"
+                         for p in channel_problems(fab)]
+            decisions = manager.on_events(events)
         except Exception as e:  # the oracle reports what escapes
             return problems + [f"{fab.clock}: {type(e).__name__} left "
                                f"on_events: {e}"]
@@ -205,3 +229,21 @@ def test_the_oracle_sees_a_divergence(example):
     fab.step()  # the AMP report is dropped
     assert step_problems(manager, []) == [
         "the deployment differs from what is observed"]
+
+
+def test_the_oracle_sees_a_channel_left_on_a_peer(example):
+    """A crash's channels must leave its peers in the same tick, before the
+    restart wires the same channels again."""
+    doc, pins, config = example
+    fab = fabric.boot(list(doc.hosts))
+    manager = Manager(doc, CS, fab)
+    manager.deploy_initial(pins, config)
+    router = helpers.iid("Router@h3#0")
+    fab.inject(CrashProcess(10, router))
+    fab.step()
+    assert channel_problems(fab) == []
+    left = helpers.chan("Client@h1#0:out", "Router@h3#0:cin[0]")
+    assert left in config.channels
+    fab.machine(helpers.iid("Client@h1#0")).channels.add(left)
+    assert channel_problems(fab) == [
+        f"Client@h1#0 holds {left}, but Router@h3#0 does not"]
