@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .lang import (DeladasError, HostSpec, SpecDocument, ValidationError,
                    canonical_host, record)
 from .model import (Channel, Configuration, Instance, InstanceId, PortSlot,
-                    validate)
+                    _text, validate)
 
 
 class XmlError(DeladasError):
@@ -39,7 +39,7 @@ class Unwire(NamedTuple):
     channel: Channel
 
     def __str__(self) -> str:
-        return f"unwire {self.channel.src} {self.channel.dst}"
+        return f"unwire {self.channel.src.text} {self.channel.dst.text}"
 
 
 @record
@@ -47,7 +47,7 @@ class Terminate(NamedTuple):
     instance: InstanceId
 
     def __str__(self) -> str:
-        return f"terminate {self.instance}"
+        return f"terminate {self.instance.text}"
 
 
 @record
@@ -65,7 +65,7 @@ class Instantiate(NamedTuple):
     instance: InstanceId
 
     def __str__(self) -> str:
-        return f"instantiate {self.instance}"
+        return f"instantiate {self.instance.text}"
 
 
 @record
@@ -73,7 +73,7 @@ class Wire(NamedTuple):
     channel: Channel
 
     def __str__(self) -> str:
-        return f"wire {self.channel.src} {self.channel.dst}"
+        return f"wire {self.channel.src.text} {self.channel.dst.text}"
 
 
 Action = Unwire | Terminate | Install | Instantiate | Wire
@@ -110,12 +110,14 @@ class EnactmentPlan:
 
 
 def action_key(action: Action):
+    """A plan's order: phase, then the texts of the channel's slots, the
+    host and code, or the instance's text."""
     phase = _PHASES.index(type(action))
     if isinstance(action, (Unwire, Wire)):
-        return (phase, str(action.channel.src), str(action.channel.dst))
+        return (phase, action.channel.src.text, action.channel.dst.text)
     if isinstance(action, Install):
         return (phase, action.host, action.code)
-    return (phase, str(action.instance), "")
+    return (phase, action.instance.text, "")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +157,7 @@ def to_xml(config: Configuration, doc: SpecDocument,
             ctype = doc.component(inst.type)
             code = ctype.code if ctype else ""
             lines.append(
-                f'    <instance id="{_escape(str(inst.id))}" '
+                f'    <instance id="{_escape(inst.id.text)}" '
                 f'type="{_escape(inst.type)}" host="{_escape(inst.id.host)}" '
                 f'code="{_escape(code)}"/>')
         lines.append("  </instances>")
@@ -164,8 +166,8 @@ def to_xml(config: Configuration, doc: SpecDocument,
     if config.channels:
         lines.append("  <channels>")
         for ch in config.channels:
-            lines.append(f'    <channel from="{_escape(str(ch.src))}" '
-                         f'to="{_escape(str(ch.dst))}"/>')
+            lines.append(f'    <channel from="{_escape(ch.src.text)}" '
+                         f'to="{_escape(ch.dst.text)}"/>')
         lines.append("  </channels>")
     else:
         lines.append("  <channels/>")
@@ -188,7 +190,10 @@ _CHANNEL_ATTRS = ("from", "to")
 
 def parse_ddd(data: bytes, doc: SpecDocument | None = None) -> DddDocument:
     """Parse a DDD; element order is a serialization concern and is
-    re-canonicalized. With doc given, also runs full structural validation."""
+    re-canonicalized. With doc given, also runs full structural validation.
+
+    Each instance gets one InstanceId object, made from its id attribute's
+    text and shared by every channel slot that names it."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as e:
@@ -223,6 +228,7 @@ def parse_ddd(data: bytes, doc: SpecDocument | None = None) -> DddDocument:
                 (k, v) for k, v in el.attrib.items() if k != "id"]))
 
     instances: list[Instance] = []
+    ids: dict[str, InstanceId] = {}  # one id object per instance, by its text
     codes: dict[str, str] = {}
     if sections["instances"] is not None:
         for el in sections["instances"]:
@@ -234,7 +240,8 @@ def parse_ddd(data: bytes, doc: SpecDocument | None = None) -> DddDocument:
             for key in _INSTANCE_ATTRS:
                 if key not in el.attrib:
                     raise SchemaError(f"<instance> needs a {key} attribute")
-            iid = InstanceId.parse(el.attrib["id"])
+            iid = ids.get(el.attrib["id"]) or InstanceId.parse(el.attrib["id"])
+            ids[iid.text] = iid
             if iid.type != el.attrib["type"] or iid.host != el.attrib["host"]:
                 raise ValidationError(
                     f"instance {iid}: type/host attributes disagree with id")
@@ -255,8 +262,8 @@ def parse_ddd(data: bytes, doc: SpecDocument | None = None) -> DddDocument:
             for key in _CHANNEL_ATTRS:
                 if key not in el.attrib:
                     raise SchemaError(f"<channel> needs a {key} attribute")
-            channels.append(Channel(PortSlot.parse(el.attrib["from"]),
-                                    PortSlot.parse(el.attrib["to"])))
+            channels.append(Channel(PortSlot.parse(el.attrib["from"], ids),
+                                    PortSlot.parse(el.attrib["to"], ids)))
 
     config = Configuration.build(hosts, instances, channels)
     ids = {i.id for i in config.instances}
@@ -289,6 +296,9 @@ def diff(old: Configuration, new: Configuration, doc: SpecDocument,
     once per (host, code) pair not already present: not in `installed` when
     it is given (what a fabric has installed), else run by no instance of
     old. Only old's and new's instances and channels are read, in any order.
+    An id or channel object that new shares with old matches by identity,
+    so a re-solve that keeps the prior's objects costs no Python-level
+    comparison.
     """
     old_ids = {i.id for i in old.instances}
     new_ids = {i.id for i in new.instances}
@@ -301,14 +311,16 @@ def diff(old: Configuration, new: Configuration, doc: SpecDocument,
     for iid in old_ids - new_ids:
         actions.append(Terminate(iid))
 
+    # Code URIs by type name; the first declaration wins, as in
+    # SpecDocument.component.
+    codes = {c.name: c.code for c in reversed(doc.components)}
     if installed is None:
-        present = {(iid.host, ctype.code) for iid in old_ids
-                   if (ctype := doc.component(iid.type)) is not None}
+        present = {(iid.host, codes[iid.type]) for iid in old_ids
+                   if iid.type in codes}
     else:
         present = set(installed)
-    for iid in sorted(new_ids - old_ids, key=str):
-        ctype = doc.component(iid.type)
-        code = ctype.code if ctype else ""
+    for iid in sorted(new_ids - old_ids, key=_text):
+        code = codes.get(iid.type, "")
         if (iid.host, code) not in present:
             present.add((iid.host, code))
             actions.append(Install(iid, code, iid.host))

@@ -30,6 +30,7 @@ Semantics notes:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from typing import NamedTuple
@@ -93,6 +94,12 @@ class _Edge(NamedTuple):
     dst_port: str
 
 
+# _Edge((src, src_port, dst, dst_port)) as tuple.__new__ makes it, which is
+# what the fields' constructor does, but without a Python-level call: a
+# wiring and a check make one per channel.
+_edge = functools.partial(tuple.__new__, _Edge)
+
+
 class _EdgeSet:
     """A set of edges in the shapes the compiled clauses read: port
     families, directed adjacency (successor -> number of edges) and its
@@ -106,14 +113,15 @@ class _EdgeSet:
         self.degree: dict[tuple[int, str], int] = {}
         self._types: list[str] = []
 
-    def reset(self, types: list[str], edges=()) -> None:
+    def reset(self, types: list[str], edges: list[_Edge] = ()) -> None:
         """Hold exactly edges over instances of the given types. The
         containers are emptied in place: compiled clauses hold them."""
         for part in (self.families, self.adj, self.pred, self.degree):
             part.clear()
         self._types = types
+        self.families.update(edges)
         for edge in edges:
-            self.add(edge)
+            self._link(edge.src, edge.dst, 1)
 
     def add(self, edge: _Edge) -> None:
         self.families.add(edge)
@@ -422,9 +430,9 @@ def check(config: Configuration, cs: ConstraintSet,
         view.lo[inst.type][position[inst.id.host]] += 1
         view.members[inst.type].append(n)
     view.sure.reset([inst.type for inst in config.instances],
-                    (_Edge(number[ch.src.instance], ch.src.port,
-                           number[ch.dst.instance], ch.dst.port)
-                     for ch in config.channels))
+                    [_edge((number[ch.src.instance], ch.src.port,
+                            number[ch.dst.instance], ch.dst.port))
+                     for ch in config.channels])
     violations: list[Violation] = []
     for index, (constraint, closure) in enumerate(zip(cs.constraints,
                                                       closures)):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .ddd import EnactmentPlan, Install, Instantiate, Terminate, Unwire, Wire
 from .lang import (DeladasError, HostSpec, ValidationError, canonical_host,
                    record)
-from .model import Channel, Configuration, Instance, InstanceId
+from .model import Channel, Configuration, Instance, InstanceId, _text
 
 HEARTBEAT_TIMEOUT = 3  # ticks from a host crash to its suspicion
 
@@ -123,6 +123,7 @@ class Observed(NamedTuple):
 class MachineState:
     def __init__(self, instance: InstanceId):
         self.instance = instance
+        self.record = Instance(instance, instance.type)
         self.alive = True
         self.channels: set[Channel] = set()
 
@@ -179,23 +180,26 @@ class Fabric:
         out = []
         for name in sorted(self.hosts):
             state = self.hosts[name]
-            for iid in sorted(state.machines, key=str):
+            for iid in sorted(state.machines, key=_text):
                 if state.machines[iid].alive:
                     out.append(iid)
         return out
 
     def observed(self) -> Observed:
-        hosts, instances, channels, installed = [], [], set(), set()
-        for state in self.hosts.values():
-            if state.alive:
-                hosts.append(state.spec)
-                installed.update((state.spec.name, c) for c in state.installed)
-                for m in state.machines.values():
-                    if m.alive:
-                        instances.append(Instance(m.instance, m.instance.type))
-                        channels |= m.channels
+        """Configuration.build sorts the channels by their slots' texts,
+        which each slot holds, so nothing is formatted here."""
+        hosts, instances, channels = [], [], set()
+        alive = [state for state in self.hosts.values() if state.alive]
+        for state in alive:
+            hosts.append(state.spec)
+            for m in state.machines.values():
+                if m.alive:
+                    instances.append(m.record)
+                    channels |= m.channels
+        installed = frozenset({(state.spec.name, code) for state in alive
+                               for code in state.installed})
         return Observed(Configuration.build(hosts, instances, channels),
-                        frozenset(installed))
+                        installed)
 
     def _kill_machine(self, machine: MachineState) -> None:
         # Conservation: channels die in the same tick as an endpoint. The
@@ -230,12 +234,12 @@ class Fabric:
             # A host crash kills its machines: an alive one's AMP is alive.
             machine = self.machine(event.instance)
             if machine is None or not machine.alive:
-                self.log("crash-process", event.instance, "ignored")
+                self.log("crash-process", event.instance.text, "ignored")
                 return []
-            self.log("crash-process", event.instance)
+            self.log("crash-process", event.instance.text)
             self._kill_machine(machine)
             report = AmpReport(self.clock, event.instance.host, event.instance)
-            self.log("amp-report", report.host, report.failed_instance)
+            self.log("amp-report", report.host, report.failed_instance.text)
             return [report]
         if isinstance(event, CrashHost):
             state = self.hosts.get(event.host)
@@ -244,7 +248,7 @@ class Fabric:
                 return []
             self.log("crash-host", event.host)
             state.alive = False
-            for iid in sorted(state.machines, key=str):
+            for iid in sorted(state.machines, key=_text):
                 machine = state.machines[iid]
                 if machine.alive:
                     self._kill_machine(machine)
@@ -281,7 +285,14 @@ class Fabric:
         plans by ddd.diff from observed() to a target on alive hosts, so its
         plans meet neither error."""
         for action in plan:
-            for host in self._hosts_of(action):
+            if isinstance(action, (Wire, Unwire)):
+                hosts = (action.channel.src.instance.host,
+                         action.channel.dst.instance.host)
+            elif isinstance(action, Install):
+                hosts = (action.host,)
+            else:
+                hosts = (action.instance.host,)
+            for host in hosts:
                 state = self.hosts.get(host)
                 if state is None or not state.alive:
                     raise HostDown(host)
@@ -290,15 +301,6 @@ class Fabric:
             self._execute(action)
             effects.append((self.clock, action))
         return effects
-
-    @staticmethod
-    def _hosts_of(action) -> list[str]:
-        if isinstance(action, (Wire, Unwire)):
-            return [action.channel.src.instance.host,
-                    action.channel.dst.instance.host]
-        if isinstance(action, Install):
-            return [action.host]
-        return [action.instance.host]
 
     def _execute(self, action) -> None:
         if isinstance(action, Install):
@@ -310,13 +312,13 @@ class Fabric:
             if existing is not None and existing.alive:
                 raise FabricError(f"{action.instance} is already running")
             host.machines[action.instance] = MachineState(action.instance)
-            self.log("instantiate", action.instance)
+            self.log("instantiate", action.instance.text)
         elif isinstance(action, Terminate):
             machine = self.machine(action.instance)
             if machine is None or not machine.alive:
                 raise UnknownInstance(f"{action.instance} is not running")
             self._kill_machine(machine)
-            self.log("terminate", action.instance)
+            self.log("terminate", action.instance.text)
         elif isinstance(action, Wire):
             ends = []
             for slot in (action.channel.src, action.channel.dst):
@@ -326,14 +328,15 @@ class Fabric:
                 ends.append(machine)
             for machine in ends:
                 machine.channels.add(action.channel)
-            self.log("wire", action.channel.src, action.channel.dst)
+            self.log("wire", action.channel.src.text, action.channel.dst.text)
         elif isinstance(action, Unwire):
             for slot in (action.channel.src, action.channel.dst):
                 machine = self.machine(slot.instance)
                 if machine is None:
                     raise UnknownInstance(f"{slot.instance} does not exist")
                 machine.channels.discard(action.channel)
-            self.log("unwire", action.channel.src, action.channel.dst)
+            self.log("unwire", action.channel.src.text,
+                     action.channel.dst.text)
         else:
             raise FabricError(f"unknown action {action!r}")
 

@@ -154,7 +154,7 @@ class Manager:
             removed = ",".join(str(b) for b in decision.removed) or "-"
             self.fabric.log("decision-resolve", f"removed={removed}")
         elif isinstance(decision, RestartInPlace):
-            self.fabric.log("decision-restart", decision.instance)
+            self.fabric.log("decision-restart", decision.instance.text)
         return decision
 
     def _enact(self, plan: EnactmentPlan, new_config: Configuration) -> None:

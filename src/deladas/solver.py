@@ -95,13 +95,13 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import evaluator
-from .evaluator import _Edge, _View, _compile
+from .evaluator import _Edge, _View, _compile, _edge
 from .lang import (And, Card, Compare, ConnectedTo, ConnectsTo, ConstraintSet,
                    DeladasError, HOST_SORT, InstancesOf, IntLiteral, Or,
                    Quantified, Reachable, SpecDocument, ValidationError,
                    connect_patterns, free_vars, record)
 from .model import (Binding, Channel, Configuration, Instance, InstanceId,
-                    PortSlot, validate)
+                    PortSlot, port_rules, validate)
 
 
 class UnknownConstraintSet(DeladasError):
@@ -290,18 +290,27 @@ class _Budget(Exception):
 
 class _Placement:
     """One complete placement. Its instances are numbered 0..n-1 in
-    placement order (host, then type declaration, then ordinal); the wiring
-    phase works on those numbers, and ids, names and types map them back.
-    max_channels, n squared, caps the channels of a wiring, in enumerate_all
-    too (3-host randc has 2,033 solutions within it, 2,112 without)."""
+    canonical order (host, then type name, then ordinal), so they are a
+    configuration's instances as they stand; the wiring phase works on
+    those numbers, and ids, names and types map them back. An instance in
+    known, keyed by (type, host, ordinal), is that Instance record, its id
+    object included; the others are made here, each id's text (its name)
+    formatted once. max_channels, n squared, caps the channels of a wiring,
+    in enumerate_all too (3-host randc has 2,033 solutions within it, 2,112
+    without)."""
 
-    def __init__(self, doc: SpecDocument, counts: dict[tuple[str, str], int]):
+    def __init__(self, doc: SpecDocument, counts: dict[tuple[str, str], int],
+                 known: dict[tuple[str, str, int], Instance] | None = None):
+        known = known or {}
+        types = sorted([c.name for c in doc.components])
         self.counts = counts
-        self.instances = [Instance(InstanceId(c.name, h.name, ordinal), c.name)
-                          for h in doc.hosts for c in doc.components
-                          for ordinal in range(counts.get((h.name, c.name), 0))]
+        self.instances = tuple([
+            known.get((t, h.name, ordinal))
+            or Instance(InstanceId(t, h.name, ordinal), t)
+            for h in doc.hosts for t in types
+            for ordinal in range(counts.get((h.name, t), 0))])
         self.ids = [inst.id for inst in self.instances]
-        self.names = [str(i) for i in self.ids]
+        self.names = [iid.text for iid in self.ids]
         self.types = [inst.type for inst in self.instances]
         self.max_channels = len(self.instances) ** 2
         self.by_type: dict[str, list[int]] = {}
@@ -313,15 +322,36 @@ def _candidate_edges(placement: _Placement,
                      patterns: list[tuple[str, str, str, str]]) -> list[_Edge]:
     """Every instantiation of the patterns, in the order of the instances'
     names (not their numbers: "Client@h10#0" sorts before "Client@h2#0")."""
-    edges: set[_Edge] = set()
-    for tsrc, psrc, tdst, pdst in patterns:
-        for u in placement.by_type.get(tsrc, ()):
-            for v in placement.by_type.get(tdst, ()):
-                if u != v:
-                    edges.add(_Edge(u, psrc, v, pdst))
-    names = placement.names
-    return sorted(edges, key=lambda e: (names[e.src], e.src_port,
-                                        names[e.dst], e.dst_port))
+    names, by_type = placement.names, placement.by_type
+    keyed = {(names[u], psrc, names[v], pdst, u, v)
+             for tsrc, psrc, tdst, pdst in patterns
+             for u in by_type.get(tsrc, ()) for v in by_type.get(tdst, ())
+             if u != v}
+    return [_edge((u, psrc, v, pdst))
+            for _, psrc, _, pdst, u, v in sorted(keyed)]
+
+
+def _pattern_ends(patterns: list[tuple[str, str, str, str]],
+                  components) -> dict[tuple[str, str, str, str],
+                                      tuple[bool, bool]]:
+    """Per connectsto pattern, whether its src port and its dst port are
+    declared non-variadic: such a port admits one channel per instance."""
+    ports = port_rules(components)
+    return {pat: (ports.get(pat[0], {}).get(pat[1]) is False,
+                  ports.get(pat[2], {}).get(pat[3]) is False)
+            for pat in patterns}
+
+
+def _fixed_families(placement: _Placement, candidates: list[_Edge],
+                    ends: dict) -> list[tuple[tuple[int, str], ...]]:
+    """Per candidate, its (instance, port) ends whose port is non-variadic,
+    read from its pattern's entry in ends (see _pattern_ends)."""
+    types = placement.types
+    out = []
+    for u, p, v, q in candidates:
+        src, dst = ends[types[u], p, types[v], q]
+        out.append(((u, p),) * src + ((v, q),) * dst)
+    return out
 
 
 class _Clause(NamedTuple):
@@ -451,33 +481,39 @@ def _anchored(expr, x: str, placing: bool) -> bool:
 
 
 def _materialize(doc: SpecDocument, placement: _Placement,
-                 edges: list[_Edge]) -> Configuration:
-    """Assign variadic indices canonically and build the configuration."""
-    ids, names = placement.ids, placement.names
-    uses: dict[tuple[int, str], list[tuple[tuple, _Edge, str]]] = {}
-    for edge in edges:
-        src_key = (names[edge.dst], edge.dst_port, "s")
-        dst_key = (names[edge.src], edge.src_port, "d")
-        uses.setdefault((edge.src, edge.src_port), []).append((src_key, edge, "s"))
-        uses.setdefault((edge.dst, edge.dst_port), []).append((dst_key, edge, "d"))
+                 edges: list[_Edge],
+                 reuse: dict | None = None) -> Configuration:
+    """Assign variadic indices canonically and build the configuration.
 
-    edge_index: dict[tuple[_Edge, str], int] = {}
-    for (inst, port), family_uses in uses.items():
-        ctype = doc.component(placement.types[inst])
-        pdecl = ctype.port(port) if ctype else None
-        if pdecl is None or not pdecl.variadic:
-            continue
-        for rank, (key, edge, role) in enumerate(sorted(family_uses,
-                                                        key=lambda u: u[0])):
-            edge_index[(edge, role)] = rank
+    Each slot's text is built from its instance's name, and the channels
+    are emitted sorted by those texts, which is canonical order. A channel
+    of reuse, keyed by its slots' texts, is taken as it is."""
+    ids, names, types = placement.ids, placement.names, placement.types
+    ports = port_rules(doc.components)
+    # A family's uses sort by peer name, peer port and role, as a
+    # channel's src ("s") or its dst ("d").
+    uses: dict[tuple[int, str], list[tuple]] = {}
+    for pos, (u, p, v, q) in enumerate(edges):
+        uses.setdefault((u, p), []).append((names[v], q, "s", pos))
+        uses.setdefault((v, q), []).append((names[u], p, "d", pos))
+    index: dict[tuple[str, int], int] = {}
+    for (u, p), family_uses in uses.items():
+        if ports.get(types[u], {}).get(p):  # a variadic port
+            for rank, (_, _, role, pos) in enumerate(sorted(family_uses)):
+                index[role, pos] = rank
 
-    channels = []
-    for edge in edges:
-        src_idx = edge_index.get((edge, "s"))
-        dst_idx = edge_index.get((edge, "d"))
-        channels.append(Channel(PortSlot(ids[edge.src], edge.src_port, src_idx),
-                                PortSlot(ids[edge.dst], edge.dst_port, dst_idx)))
-    return Configuration.build(doc.hosts, placement.instances, channels)
+    reuse = reuse or {}
+    keyed = []
+    for pos, (u, p, v, q) in enumerate(edges):
+        i, j = index.get(("s", pos)), index.get(("d", pos))
+        # The texts PortSlot formats.
+        src = f"{names[u]}:{p}" if i is None else f"{names[u]}:{p}[{i}]"
+        dst = f"{names[v]}:{q}" if j is None else f"{names[v]}:{q}[{j}]"
+        keyed.append(((src, dst), reuse.get((src, dst)) or Channel(
+            PortSlot(ids[u], p, i), PortSlot(ids[v], q, j))))
+    keyed.sort()
+    return Configuration(doc.hosts, placement.instances,
+                         tuple([ch for _, ch in keyed]))
 
 
 def _count_vectors(types: list[str], per_host: int, floors: dict[str, int]):
@@ -487,8 +523,8 @@ def _count_vectors(types: list[str], per_host: int, floors: dict[str, int]):
     for t in types:
         out = [v + (n,) for v in out
                for n in range(floors.get(t, 0), per_host - sum(v) + 1)]
-    out.sort(key=lambda v: (sum(v), tuple(-x for x in v)))
-    return out
+    return [v for _, _, v in sorted([(sum(v), [-x for x in v], v)
+                                      for v in out])]
 
 
 class _Program(NamedTuple):
@@ -496,7 +532,7 @@ class _Program(NamedTuple):
     evaluator._program) and independent of hosts, pins and options: the
     view the clauses read and their env slots, the compiled clauses and
     which of them are placement-only, the derived bounds, the connectsto
-    patterns and the non-variadic port families."""
+    patterns and their non-variadic ends (see _pattern_ends)."""
 
     view: _View
     env: list
@@ -505,7 +541,7 @@ class _Program(NamedTuple):
     wiring_clauses: tuple[int, ...]
     bounds: list[tuple[str, str, int]]
     patterns: list[tuple[str, str, str, str]]
-    fixed_ports: set[tuple[str, str]]
+    ends: dict[tuple[str, str, str, str], tuple[bool, bool]]
 
 
 def _compile_search(cs: ConstraintSet, components: tuple) -> _Program:
@@ -513,16 +549,14 @@ def _compile_search(cs: ConstraintSet, components: tuple) -> _Program:
     view = _View([c.name for c in components])
     env: list = [None]
     placing = [_placement_only(c) for c in cs.constraints]
+    patterns = connect_patterns(cs)
     return _Program(
         view, env,
         [_compile_clause(c, view, env, p)
          for c, p in zip(cs.constraints, placing)],
         tuple(i for i, p in enumerate(placing) if p),
         tuple(i for i, p in enumerate(placing) if not p),
-        cardinality_bounds(cs), connect_patterns(cs),
-        # Non-variadic ports admit a single channel per instance.
-        {(c.name, p.name) for c in components
-         for p in c.ports if not p.variadic})
+        cardinality_bounds(cs), patterns, _pattern_ends(patterns, components))
 
 
 class _Search:
@@ -532,16 +566,20 @@ class _Search:
         self.opts = opts
         (self.view, self.env, self.clauses, self.placement_clauses,
          self.wiring_clauses, self.bounds, self.patterns,
-         self.fixed_ports) = evaluator._program(_compile_search, cs,
-                                                doc.components)
+         self.ends) = evaluator._program(_compile_search, cs, doc.components)
         self.placement_nodes = 0
         self.wiring_nodes = 0
         self.evaluations = 0
         self.bound_cuts = 0
         self.solutions: list[Configuration] = []
-        prior = opts.prior.channels if opts.prior is not None else ()
+        # The prior's instance records and channels, to share with the
+        # placements and solutions that keep them.
+        prior = opts.prior or Configuration()
         self.prior_edges = {(ch.src.instance, ch.src.port, ch.dst.instance,
-                             ch.dst.port) for ch in prior}
+                             ch.dst.port) for ch in prior.channels}
+        self.known = {tuple(i.id): i for i in prior.instances
+                      if type(i) is Instance and i.type == i.id.type}
+        self.reuse = {(ch.src.text, ch.dst.text): ch for ch in prior.channels}
         self.pin_floors = _pin_floors(opts.pins)
         hosts = [h.name for h in doc.hosts]
         self.view.start(hosts)
@@ -606,7 +644,7 @@ class _Search:
             for item in clause.items(view):
                 groups[item[2] if clause.anchored else n].append(item)
         if not n:
-            return self._wire(_Placement(doc, {}), groups[n])
+            return self._wire(_Placement(doc, {}, self.known), groups[n])
         floors = [self.pin_floors.get(h.name, {}) for h in hosts]
         vectors = [_count_vectors(types, per_host, f) for f in floors]
         tried = [0] * n
@@ -651,7 +689,7 @@ class _Search:
                 continue
             placed = {(h.name, t): lo[t][j]
                       for j, h in enumerate(hosts) for t in types}
-            if not self._wire(_Placement(doc, placed),
+            if not self._wire(_Placement(doc, placed, self.known),
                               [item for items in groups for item in items]):
                 return False
             for g, items in saved[i]:
@@ -681,10 +719,7 @@ class _Search:
                           + [e for e in candidates if e not in prior])
         order = [(True, False) if e in prior else (False, True)
                  for e in candidates]
-        types = placement.types
-        fixed = [tuple(fam for fam in ((e.src, e.src_port), (e.dst, e.dst_port))
-                       if (types[fam[0]], fam[1]) in self.fixed_ports)
-                 for e in candidates]
+        fixed = _fixed_families(placement, candidates, self.ends)
         view = self.view
         view.place(placement, candidates)
         sure, possible = view.sure, view.possible
@@ -697,8 +732,8 @@ class _Search:
         root = [item + (n,) for item in carried]
         for index in self.wiring_clauses:
             clause = self.clauses[index]
-            root += (item + (item[2] if clause.anchored else n,)
-                     for item in clause.items(view))
+            root += [item + (item[2] if clause.anchored else n,)
+                     for item in clause.items(view)]
         tried = [0] * (m + 1)
         saved: list = [None] * (m + 1)
         # The node count and budget check, inlined: placement nodes stay put
@@ -766,7 +801,7 @@ class _Search:
             self.wiring_nodes = nodes
 
     def _accept(self, placement: _Placement, edges: list[_Edge]) -> None:
-        config = _materialize(self.doc, placement, edges)
+        config = _materialize(self.doc, placement, edges, self.reuse)
         problems = validate(config, self.doc)
         if problems:  # pragma: no cover - guarded by construction
             raise DeladasError(
@@ -894,16 +929,12 @@ def enumerate_all(doc: SpecDocument, cs_name: str,
     started = time.perf_counter()
     nodes = 0
     solutions: list[Configuration] = []
+    ends = _pattern_ends(patterns, doc.components)
     for placement in placements:
         candidates = _candidate_edges(placement, patterns)
-        nonvariadic: list[tuple[int, tuple[int, str]]] = []
-        for idx, edge in enumerate(candidates):
-            for inst, port in ((edge.src, edge.src_port),
-                               (edge.dst, edge.dst_port)):
-                ctype = doc.component(placement.types[inst])
-                pdecl = ctype.port(port) if ctype else None
-                if pdecl is not None and not pdecl.variadic:
-                    nonvariadic.append((idx, (inst, port)))
+        nonvariadic = [(idx, family) for idx, families in enumerate(
+            _fixed_families(placement, candidates, ends))
+            for family in families]
 
         for mask in range(1 << len(candidates)):
             nodes += 1

@@ -9,10 +9,12 @@ truth.
 
 from __future__ import annotations
 
+import collections
 import random
+import sys
 from pathlib import Path
 
-from deladas import evaluator, lang, solver
+from deladas import ddd, evaluator, fabric, lang, madme, model, solver
 from deladas.model import Channel, Configuration, Instance, InstanceId, PortSlot
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -135,3 +137,95 @@ def small_goals(count: int) -> list[lang.SpecDocument]:
         "constraintset goal = constraintset {\n"
         f"  forall host h in deployment ( card(instancesof A in h) <= {n} )\n"
         "}\n") for n in range(1, count + 1)]
+
+
+def python_calls(run, *args) -> collections.Counter:
+    """Call run(*args) and count the Python-level calls it makes, per code
+    object, with sys.setprofile; run's own call is not counted, nor are
+    calls into builtins. The total differs between Python versions; whether
+    a given function is called does not."""
+    calls: collections.Counter = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run(*args)
+    finally:
+        sys.setprofile(previous)
+    calls[run.__code__] -= 1
+    return +calls
+
+
+# The sample's component declarations, without its hosts.
+COMPONENTS_TEXT = "".join(line for line in RESOURCES_TEXT.splitlines(
+    keepends=True) if not line.startswith("host "))
+
+
+def resources_text(hosts: int) -> str:
+    """The sample's components with hosts h1..hN, addressed as in the
+    sample, as Deladas text."""
+    return COMPONENTS_TEXT + "".join(
+        f'host h{i} = host(ipaddress = "192.168.0.{i}")\n'
+        for i in range(1, hosts + 1))
+
+
+def cold_satisfy(hosts: int) -> bytes:
+    """Parse and merge randc over hosts h1..hN, solve it and write the
+    first solution's DDD."""
+    doc = lang.merge_documents(lang.parse(resources_text(hosts)),
+                               lang.parse(CONSTRAINTS_TEXT))
+    config = solver.solve(doc, "randc").solutions[0]
+    return ddd.to_xml(config, doc, "randc")
+
+
+def deployed_manager(hosts: int = 8) -> madme.Manager:
+    """A manager that has deployed randc's first solution over hosts
+    h1..hN, read back from its DDD with its bindings pinned, as a stored
+    deployment is."""
+    doc = randc_doc(hosts)
+    config = solver.solve(doc, "randc").solutions[0]
+    prior = ddd.from_xml(ddd.to_xml(config, doc, "randc"), doc)
+    manager = madme.Manager(doc, "randc", fabric.boot(list(doc.hosts)))
+    manager.deploy_initial(tuple(model.bindings_of(prior)), prior)
+    return manager
+
+
+def repair(manager: madme.Manager) -> None:
+    """Run the manager's cycle until the fabric idles."""
+    while manager.fabric.pending():
+        manager.on_events(manager.fabric.step())
+
+
+def operation_calls() -> dict[str, int]:
+    """Python calls per operation (python_calls): on randc's 8-host first
+    solution, the repair of a client host's crash (h1) and of a router
+    host's (h7), and the restart of the process of its first instance
+    (Client@h1#0), each from the event's injection until the fabric idles;
+    and cold satisfies (parse, merge, solve, write the DDD) at 5 and 8
+    hosts. Each operation runs once uncounted first, so that its goal is
+    compiled."""
+    def crashed(event) -> int:
+        calls = 0
+        for _ in range(2):
+            manager = deployed_manager()
+            manager.fabric.inject(event(manager))
+            calls = sum(python_calls(repair, manager).values())
+        return calls
+
+    def satisfied(hosts: int) -> int:
+        cold_satisfy(hosts)
+        return sum(python_calls(cold_satisfy, hosts).values())
+
+    return {
+        "client-host repair (h1)": crashed(
+            lambda m: fabric.CrashHost(10, "h1")),
+        "router-host repair (h7)": crashed(
+            lambda m: fabric.CrashHost(10, "h7")),
+        "process restart (Client@h1#0)": crashed(
+            lambda m: fabric.CrashProcess(10, m.deployed.instances[0].id)),
+        "cold satisfy, 5 hosts": satisfied(5),
+        "cold satisfy, 8 hosts": satisfied(8),
+    }

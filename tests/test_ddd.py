@@ -60,6 +60,16 @@ class TestFromXml:
             cfg = generators.gen_configuration(rng, doc)
             assert ddd.from_xml(ddd.to_xml(cfg, doc, "g"), doc) == cfg
 
+    def test_one_id_object_per_instance(self):
+        """from_xml makes one InstanceId object per instance, from its id
+        attribute, and shares it with every channel slot naming it."""
+        cfg = ddd.from_xml(GOLDEN.read_bytes())
+        ids = {i.id.text: i.id for i in cfg.instances}
+        assert len(ids) == len(cfg.instances) == 6
+        slots = [slot for ch in cfg.channels for slot in (ch.src, ch.dst)]
+        assert len(slots) == 20
+        assert all(slot.instance is ids[slot.instance.text] for slot in slots)
+
     def test_permuted_elements_are_recanonicalized(self):
         lines = GOLDEN.read_text().splitlines()
         start = lines.index("  <instances>") + 1

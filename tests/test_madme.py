@@ -1,5 +1,4 @@
 import socket
-import sys
 import threading
 
 import pytest
@@ -209,24 +208,49 @@ class TestProcessFailure:
             manager.deploy_initial(tuple(model.bindings_of(config)), config)
             client = next(i.id for i in config.instances if i.type == "Client")
             fab.inject(CrashProcess(10, client))
-            count = [0]
-
-            def profile(frame, event, arg):
-                if event == "call":
-                    count[0] += 1
-            previous = sys.getprofile()
-            sys.setprofile(profile)
-            try:
-                decisions = manager.on_events(fab.step())
-            finally:
-                sys.setprofile(previous)
+            decisions = []
+            counted = helpers.python_calls(
+                lambda: decisions.extend(manager.on_events(fab.step())))
             assert decisions == [RestartInPlace(client)]
             assert fab.observed().config.channels == manager.deployed.channels
-            calls.append(count[0])
+            calls.append(sum(counted.values()))
         assert calls[0] == calls[1] == calls[2], calls
 
 
 class TestHostFailure:
+    def test_a_client_host_re_solve_shares_the_deployed_objects(
+            self, monkeypatch):
+        """The re-solve after a client host's crash keeps the deployed id
+        object of every instance it keeps, and the deployed Channel object
+        of every channel it keeps, so its diff compares them by identity:
+        it makes no lang._record_eq call."""
+        manager = helpers.deployed_manager()
+        before = manager.deployed
+        diffs, real = [], ddd.diff
+
+        def diff(*args):
+            plan = []
+            diffs.append(helpers.python_calls(lambda: plan.append(real(*args))))
+            return plan[0]
+        monkeypatch.setattr(ddd, "diff", diff)
+        manager.fabric.inject(CrashHost(10, "h1"))
+        helpers.repair(manager)
+        after = manager.deployed
+        assert after != before and len(diffs) == 1
+        assert lang._record_eq.__code__ not in diffs[0]
+        ids = {i.id.text: i.id for i in before.instances}
+        kept = [i.id for i in after.instances if i.id.text in ids]
+        assert len(kept) == len(after.instances) == 7
+        assert all(iid is ids[iid.text] for iid in kept)
+        channels = {(ch.src.text, ch.dst.text): ch for ch in before.channels}
+        kept = [ch for ch in after.channels
+                if (ch.src.text, ch.dst.text) in channels]
+        assert 0 < len(kept) < len(after.channels)
+        assert all(ch is channels[ch.src.text, ch.dst.text] for ch in kept)
+        ids = {i.id.text: i.id for i in after.instances}
+        assert all(slot.instance is ids[slot.instance.text]
+                   for ch in after.channels for slot in (ch.src, ch.dst))
+
     def test_a_re_solve_drops_every_host_seen_down(self):
         """h4 is down but not yet suspected when h3's suspicion re-solves:
         the re-solve drops both, and h4's own suspicion is then a no-op."""

@@ -29,6 +29,60 @@ class TestIds:
         with pytest.raises(ModelError):
             PortSlot.parse("Client@h1#0")
 
+    @pytest.mark.parametrize("bad", [
+        "Client@h1#+0", "Client@h1# 0", "Client@h1#00", "Client@h1#\u0661",
+        "Client@h1#1_0", "Client@h1#01", "Client@h1#-1", "Client@h1#0 "])
+    def test_non_canonical_ordinal_is_malformed(self, bad):
+        with pytest.raises(ModelError):
+            InstanceId.parse(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "Client@h1#0:out[01]", "Client@h1#0:out[+1]", "Client@h1#0:out[ 1]",
+        "Client@h1#0:out[\u0661]", "Client@h1#0:out[1_0]", "Client@h1#0:out[]",
+        "Client@h1#00:out"])
+    def test_non_canonical_index_is_malformed(self, bad):
+        with pytest.raises(ModelError):
+            PortSlot.parse(bad)
+
+    def test_every_accepted_text_prints_back(self):
+        """str(parse(t)) == t for every text either parse accepts, so an id
+        or slot can be known by its text. Texts are random edits of valid
+        ones, over the characters that numerals and separators use."""
+        rng = helpers.rng(29)
+        alphabet = "0123456789+-_ #@:[]\u0661a"
+        accepted = 0
+        for _ in range(4000):
+            text = list(rng.choice(["Client@h1#0:out", "Router@h10#12:cin[3]"]))
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(text) + 1)
+                op = rng.random()
+                if op < 0.4:
+                    text.insert(at, rng.choice(alphabet))
+                elif op < 0.7 and at < len(text):
+                    del text[at]
+                elif at < len(text):
+                    text[at] = rng.choice(alphabet)
+            text = "".join(text)
+            for parse in (InstanceId.parse, PortSlot.parse,
+                          lambda t: InstanceId.parse(t.rpartition(":")[0])):
+                try:
+                    parsed = parse(text)
+                except ModelError:
+                    continue
+                accepted += 1
+                assert str(parsed) == parsed.text
+                assert parsed.text in (text, text.rpartition(":")[0])
+        assert accepted > 1000
+
+    def test_text_is_formatted_when_the_id_is_made(self):
+        iid = InstanceId("Router", "h3", 0)
+        slot = PortSlot(iid, "cin", 2)
+        assert (iid.text, slot.text) == ("Router@h3#0", "Router@h3#0:cin[2]")
+        assert iid._replace(ordinal=1).text == "Router@h3#1"
+        assert slot._replace(index=None).text == "Router@h3#0:cin"
+        assert hash(iid) == hash(("Router", "h3", 0)) and iid == InstanceId(
+            "Router", "h3", 0)
+
 
 class TestCanonicalOrder:
     def test_build_sorts_instances_and_channels(self):

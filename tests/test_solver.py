@@ -563,6 +563,34 @@ constraintset ring = constraintset {
 """
 
 
+class TestFormatting:
+    def test_accept_and_diff_format_nothing(self, monkeypatch):
+        """_Search._accept and ddd.diff call neither InstanceId.__str__ nor
+        PortSlot.__str__ on solver-built configurations, cold or with a
+        prior, and _accept still validates and checks each solution once."""
+        formatting = {model.InstanceId.__str__.__code__,
+                      model.PortSlot.__str__.__code__}
+        accepted, real = [], solver._Search._accept
+
+        def accept(search, placement, edges):
+            accepted.append(helpers.python_calls(real, search, placement, edges))
+        monkeypatch.setattr(solver._Search, "_accept", accept)
+        doc = helpers.randc_doc(8)
+        first = solve(doc, "randc", SolveOptions(solution_limit=3)).solutions
+        again = solve(doc.__class__(doc.components, doc.hosts[1:],
+                                    doc.constraintsets),
+                      "randc", SolveOptions(prior=first[0])).solutions
+        assert len(accepted) == 4
+        for calls in accepted:
+            assert formatting.isdisjoint(calls)
+            assert calls[model.validate.__code__] == 1
+            assert calls[evaluator.check.__code__] == 1
+        for old, new in [(model.empty_on(doc.hosts), first[0]),
+                         (first[0], first[1]), (first[0], again[0])]:
+            assert formatting.isdisjoint(helpers.python_calls(
+                ddd.diff, old, new, doc))
+
+
 class TestRouterRing:
     """Two hosts, one router each, mutually wired: the oracle's solutions are
     exactly the ring wirings (9 by hand: each direction of the pairing is
