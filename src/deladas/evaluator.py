@@ -19,6 +19,11 @@ reports the first falsifying assignment as the witness. A binder its
 quantifier's body does not mention is tried at its first value only
 (miniscoping), so nested quantifiers cost time linear in their depth.
 
+An `and`, an `or` or a quantifier is one closure whose own loop tests its
+leaves, so a fold of leaves is one Python call (Feeley & Lapalme, "Using
+closures for code generation", Computer Languages 1987); a comparison is
+one test of the interval of lhs - rhs against the op's range.
+
 Semantics notes:
   - `p.a connectsto q.b` holds when some channel joins slots of the two port
     families in either orientation (channels remain uni-directional; the
@@ -31,7 +36,7 @@ Semantics notes:
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 import threading
 from typing import NamedTuple
 
@@ -202,18 +207,12 @@ class _View:
         self.move = None
 
 
-# (lo1, hi1, lo2, hi2) -> True when lhs op rhs holds for every pair of values
-# in the two intervals, False when for none, None otherwise.
-_DECIDE = {
-    "<=": lambda a, b, c, d: True if b <= c else False if a > d else None,
-    "<": lambda a, b, c, d: True if b < c else False if a >= d else None,
-    ">=": lambda a, b, c, d: True if a >= d else False if b < c else None,
-    ">": lambda a, b, c, d: True if a > d else False if b <= c else None,
-    "=": lambda a, b, c, d: (False if b < c or d < a
-                             else True if a == b == c == d else None),
-    "!=": lambda a, b, c, d: (True if b < c or d < a
-                              else False if a == b == c == d else None),
-}
+# Fold items are tuples (kind, a, b, c, d, e, f); see _item and _compare.
+_LINK, _SAME, _HOSTED, _DEGREE, _DIFF, _PATH, _CALL = range(7)
+
+# Per op, the range of lhs - rhs in which lhs op rhs holds; != negates =.
+_RANGES = {"<=": (-math.inf, 0), "<": (-math.inf, -1), ">=": (0, math.inf),
+           ">": (1, math.inf), "=": (0, 0), "!=": (0, 0)}
 
 
 def _compile(expr, view: _View, scope: dict[str, int], env: list):
@@ -223,134 +222,171 @@ def _compile(expr, view: _View, scope: dict[str, int], env: list):
     scope maps each bound variable to its slot in env. Every predicate is
     monotone in the counts and the edge set, so reading counts as intervals
     and edges as sure/possible gives a definite value only when it holds in
-    every completion."""
+    every completion. An `and`, an `or` and a leaf compile to a fold."""
     if isinstance(expr, Quantified):
         return _compile_quantified(expr, view, scope, env)
+    return _fold(view, env, *_parts(expr, view, scope, env))
+
+
+def _parts(expr, view: _View, scope, env) -> tuple[list, bool]:
+    """The items of a fold for expr and whether it is their conjunction:
+    an `and`'s or an `or`'s items, or expr alone as a one-item `and`."""
     if isinstance(expr, (And, Or)):
-        items = [_compile(item, view, scope, env) for item in expr.items]
-        return _fold(items, isinstance(expr, And))
-    if isinstance(expr, Compare):
-        return _compile_compare(expr, view, scope, env)
+        return ([_item(item, view, scope, env) for item in expr.items],
+                isinstance(expr, And))
+    return [_item(expr, view, scope, env)], True
+
+
+def _item(expr, view: _View, scope, env) -> tuple:
+    """expr as a fold item. _LINK: `a.b connectsto c.d`, a and c slots.
+    _PATH: reachable from slot a to slot b. _SAME: whether slots a and b
+    hold the same value is c. _CALL: closure a, for a quantifier, an `and`
+    or an `or`. A comparison is one of these or a count (see _compare)."""
     if isinstance(expr, ConnectsTo):
-        p, q = scope[expr.src.var], scope[expr.dst.var]
-        a, b = expr.src.port, expr.dst.port
-        sure, possible = view.sure.families, view.possible.families
-
-        def connects():
-            u, v = env[p], env[q]
-            if (u, a, v, b) in sure or (v, b, u, a) in sure:
-                return True
-            if (u, a, v, b) in possible or (v, b, u, a) in possible:
-                return None
-            return False
-        return connects
+        return (_LINK, scope[expr.src.var], expr.src.port,
+                scope[expr.dst.var], expr.dst.port, None, None)
+    if isinstance(expr, Compare):
+        return _compare(expr, view, scope, env)
     if isinstance(expr, Reachable):
-        a, b = scope[expr.a], scope[expr.b]
-        sure_adj, possible_adj = view.sure.adj, view.possible.adj
-
-        def reachable():
-            u, v = env[a], env[b]
-            if has_path(sure_adj, u, v):
-                return True
-            return None if has_path(possible_adj, u, v) else False
-        return reachable
+        return (_PATH, scope[expr.a], scope[expr.b], None, None, None, None)
+    if isinstance(expr, (Quantified, And, Or)):
+        return (_CALL, _compile(expr, view, scope, env)) + (None,) * 5
     raise EvalTypeError(f"not a constraint expression: {expr!r}")
 
 
-def _fold(items: list, conjunction: bool):
-    """and/or over compiled items, stopping at the first deciding value."""
-    stop = not conjunction
+def _compare(expr: Compare, view: _View, scope, env) -> tuple:
+    """A comparison as a fold item: _SAME for variables, else an interval
+    tested against the range [d, e] (f inside it, not f outside it), with
+    a literal folded into the range. _HOSTED: lo b and hi c at the host in
+    slot a; _DEGREE: the type b neighbours of the instance in slot a;
+    _DIFF: count against count, from the operand closures a and b."""
+    lhs, rhs = expr.lhs, expr.rhs
+    if isinstance(lhs, Var) or isinstance(rhs, Var):
+        if expr.op not in ("=", "!="):
+            raise EvalTypeError("ordering comparison needs integer operands")
+        if type(lhs) is not type(rhs):
+            raise EvalTypeError("cannot compare a value with an integer")
+        return (_SAME, scope[lhs.name], scope[rhs.name], expr.op == "=",
+                None, None, None)
+    lo, hi = _RANGES[expr.op]
+    same = expr.op != "!="
+    if isinstance(rhs, IntLiteral):  # lhs - k inside [lo, hi]
+        lo, hi, rhs = lo + rhs.value, hi + rhs.value, None
+    elif isinstance(lhs, IntLiteral):  # k - rhs inside [lo, hi]
+        lo, hi, lhs, rhs = lhs.value - hi, lhs.value - lo, rhs, None
+    if isinstance(lhs, IntLiteral):  # a constant: slot 0 equals itself
+        return (_SAME, 0, 0, (lo <= lhs.value <= hi) is same) + (None,) * 3
+    if rhs is not None:
+        return (_DIFF, _count(lhs, view, scope, env),
+                _count(rhs, view, scope, env), None, lo, hi, same)
+    inner = lhs.inner
+    if isinstance(inner, InstancesOf):
+        return (_HOSTED, scope[inner.host_var], *view.counts(inner.type_name),
+                lo, hi, same)
+    return (_DEGREE, scope[inner.peer_var], inner.type_name, None, lo, hi,
+            same)
+
+
+def _count(value, view: _View, scope, env):
+    """A count compared with a count, as a closure returning (lo, hi)."""
+    inner = value.inner
+    if isinstance(inner, InstancesOf):
+        h, (lo, hi) = scope[inner.host_var], view.counts(inner.type_name)
+        return lambda: (lo[env[h]], hi[env[h]])
+    p, t = scope[inner.peer_var], inner.type_name
+    sure, possible = view.sure.degree, view.possible.degree
+    return lambda: (sure.get((env[p], t), 0), possible.get((env[p], t), 0))
+
+
+def _fold(view: _View, env: list, items: list, conjunction: bool,
+          values=(None,), slot: int = 0, forall: bool = True, dead=()):
+    """The `and` of items (their `or` unless conjunction) for each value of
+    values in env[slot], folded over the values as forall (or exists) does,
+    each fold stopping at its first deciding value; vacuous when a range in
+    dead is empty. With values (None,), a plain `and` or `or` (env[0] is
+    scratch). Every item but a _CALL is tested in the loop itself."""
+    links, open_links = view.sure.families, view.possible.families
+    adj, open_adj = view.sure.adj, view.possible.adj
+    degree, open_degree = view.sure.degree, view.possible.degree
+    stop = not conjunction  # the item value that decides the items
+    decided = not forall  # the items' value that decides the fold
 
     def fold():
+        for dropped in dead:  # a dropped binder's range
+            if not dropped:
+                return forall
         unknown = False
-        for item in items:
-            v = item()
-            if v is stop:
-                return stop
-            if v is None:
+        for x in values:
+            env[slot] = x
+            value = conjunction
+            for kind, a, b, c, d, e, f in items:
+                if kind is _LINK:  # in either orientation
+                    u, v = env[a], env[c]
+                    t = (True if (u, b, v, d) in links or (v, d, u, b) in links
+                         else None if (u, b, v, d) in open_links
+                         or (v, d, u, b) in open_links else False)
+                elif kind is _SAME:
+                    t = (env[a] == env[b]) is c
+                elif kind is _CALL:
+                    t = a()
+                elif kind is _PATH:
+                    u, v = env[a], env[b]
+                    t = (True if has_path(adj, u, v)
+                         else None if has_path(open_adj, u, v) else False)
+                else:
+                    if kind is _HOSTED:
+                        lo, hi = b[env[a]], c[env[a]]
+                    elif kind is _DEGREE:
+                        key = (env[a], b)
+                        lo, hi = degree.get(key, 0), open_degree.get(key, 0)
+                    else:
+                        (lo, hi), (lo2, hi2) = a(), b()
+                        lo, hi = lo - hi2, hi - lo2
+                    t = (f if d <= lo and hi <= e
+                         else not f if hi < d or e < lo else None)
+                if t is stop:
+                    value = stop
+                    break
+                if t is None:
+                    value = None
+            if value is decided:
+                return decided
+            if value is None:
                 unknown = True
-        return None if unknown else conjunction
-    fold.items = items  # for _witness
+        return None if unknown else forall
+    fold.items, fold.first, fold.body = items, slot, None  # for _witness
     return fold
 
 
 def _compile_quantified(expr: Quantified, view: _View, scope, env):
-    """Binders the body does not mention are dropped (miniscoping): they
-    only repeat the body's value, unless their range is empty, which makes
-    the quantifier vacuous. Ranges change between placements, so that
-    emptiness is read when the quantifier runs."""
-    free = free_vars(expr.body)
+    """One fold per binder the body mentions, over its range and nested in
+    binder order; the innermost folds the body's items. Binders the body
+    does not mention are dropped (miniscoping): they only repeat the
+    body's value, unless their range is empty, which makes the quantifier
+    vacuous, so the outermost fold reads their ranges when it runs."""
     inner = dict(scope)
-    first = len(env)
+    free = free_vars(expr.body)
     live, dead = [], []
     for b in expr.binders:
         values = (view.hosts if b.sort == HOST_SORT
                   else view.members.setdefault(b.sort, []))
         if b.var in free:
             inner[b.var] = len(env)
+            live.append((values, len(env)))
             env.append(None)
-            live.append(values)
         else:
             dead.append(values)
-    end = len(env)
-    body = _compile(expr.body, view, inner, env)
+    items, conjunction = _parts(expr.body, view, inner, env)
+    body = items[0][1] if isinstance(expr.body, Quantified) else None
     forall = expr.kind == "forall"
-    stop = not forall  # the body value that decides the quantifier
-
-    def quantified():
-        for values in dead:
-            if not values:
-                return forall
-        unknown = False
-        for combo in itertools.product(*live):
-            env[first:end] = combo
-            v = body()
-            if v is stop:
-                return stop
-            if v is None:
-                unknown = True
-        return None if unknown else forall
-    quantified.body, quantified.first = body, first  # for _witness
-    return quantified
-
-
-def _compile_compare(expr: Compare, view: _View, scope, env):
-    if isinstance(expr.lhs, Var) or isinstance(expr.rhs, Var):
-        if expr.op not in ("=", "!="):
-            raise EvalTypeError("ordering comparison needs integer operands")
-        if type(expr.lhs) is not type(expr.rhs):
-            raise EvalTypeError("cannot compare a value with an integer")
-        a, b = scope[expr.lhs.name], scope[expr.rhs.name]
-        equal = expr.op == "="
-        return lambda: (env[a] == env[b]) is equal
-    lhs, rhs = (_compile_count(v, view, scope, env) for v in (expr.lhs, expr.rhs))
-    decide = _DECIDE[expr.op]
-
-    def compare():
-        lo1, hi1 = lhs()
-        lo2, hi2 = rhs()
-        return decide(lo1, hi1, lo2, hi2)
-    return compare
-
-
-def _compile_count(value, view: _View, scope, env):
-    """An integer operand as a closure returning its interval (lo, hi)."""
-    if isinstance(value, IntLiteral):
-        pair = (value.value, value.value)
-        return lambda: pair
-    inner = value.inner
-    if isinstance(inner, InstancesOf):
-        h = scope[inner.host_var]
-        lo, hi = view.counts(inner.type_name)
-        return lambda: (lo[env[h]], hi[env[h]])
-    peer = scope[inner.peer_var]
-    sure, possible = view.sure.degree, view.possible.degree
-    type_name = inner.type_name
-
-    def card():
-        key = (env[peer], type_name)
-        return (sure.get(key, 0), possible.get(key, 0))
-    return card
+    for values, slot in reversed(live[1:]):
+        fold = _fold(view, env, items, conjunction, values, slot, forall)
+        body = body or fold
+        items, conjunction = [(_CALL, fold) + (None,) * 5], True
+    values, slot = live[0] if live else ((None,), 0)
+    fold = _fold(view, env, items, conjunction, values, slot, forall, dead)
+    fold.body = body  # for _witness
+    return fold
 
 
 def has_path(adj, a, b) -> bool:
@@ -403,7 +439,7 @@ def _exact(cs: ConstraintSet, components: tuple) -> tuple:
     view.hi = view.lo
     view.possible = view.sure
     view.members.update((t, []) for t in types)
-    env: list = []
+    env: list = [None]
     return view, env, [_compile(c, view, {}, env) for c in cs.constraints]
 
 
@@ -453,14 +489,16 @@ def _witness(expr, closure, view: _View, env: list,
     at a forall, its binders in order (a binder the body does not mention,
     and so has no slot, at its first value); at an `and`, it descends into
     the first item that is False; at an `or`, into the first item (all are
-    False). An exists or a leaf ends the walk."""
+    False). An exists or a leaf ends the walk. It reads a fold's items and,
+    at a quantifier, its first slot and its body's fold if not its own."""
     bound: list = []
     while True:
         if isinstance(expr, And):
-            expr, closure = next((item, c) for item, c in
-                                 zip(expr.items, closure.items) if not c())
+            expr, closure = next(
+                (e, item[1]) for e, item in zip(expr.items, closure.items)
+                if not _fold(view, env, [item], True)())
         elif isinstance(expr, Or):
-            expr, closure = expr.items[0], closure.items[0]
+            expr, closure = expr.items[0], closure.items[0][1]
         elif isinstance(expr, Quantified) and expr.kind == "forall":
             free = free_vars(expr.body)
             slot = closure.first
@@ -472,7 +510,7 @@ def _witness(expr, closure, view: _View, env: list,
                 bound.append((b.var, HostBinding(config.hosts[v].name)
                               if b.sort == HOST_SORT
                               else InstanceBinding(config.instances[v].id)))
-            expr, closure = expr.body, closure.body
+            expr, closure = expr.body, closure.body or closure
         else:
             return tuple(bound)
 

@@ -42,9 +42,9 @@ for the wiring phase, but placement also checks the bounds |X| <= k * |Y|
 that cardinality_bounds derives from them (every X needs a Y neighbour,
 every Y takes at most k X neighbours): a branch whose fewest X exceed k
 times its most Y is cut. resolve_with_relaxation asks the same question
-(_shortfalls) of each pin-removal subset before solving it, with the kept
-pins as floors and the room they leave on each host as the most Y, and
-skips the subsets, and whole removal sizes, that it refutes.
+(_pin_shortfalls) of each pin-removal subset before solving it, with the
+kept pins as floors and the room they leave on each host as the most Y,
+and skips the subsets, and whole removal sizes, that it refutes.
 
 Wiring then decides, for every candidate channel, whether it is present.
 Candidate channels are the instantiations of the `connectsto` patterns
@@ -256,21 +256,13 @@ def cardinality_bounds(cs: ConstraintSet) -> list[tuple[str, str, int]]:
             if (x, y) in caps and x != y and HOST_SORT not in (x, y)]
 
 
-def _shortfalls(bounds: list[tuple[str, str, int]],
-                fewest: Callable[[str], int],
-                most: Callable[[str], int]) -> list[int]:
-    """Per bound (X, Y, k), fewest(X) - k * most(Y): the fewest X possible
-    minus k times the most Y possible. A positive shortfall breaks the
-    bound in every completion."""
-    return [fewest(x) - k * most(y) for x, y, k in bounds]
-
-
 def _pin_shortfalls(bounds: list[tuple[str, str, int]],
                     pins: tuple[Binding, ...], hosts: int,
                     per_host: int) -> list[int]:
-    """_shortfalls of every placement that keeps pins, on declared hosts,
-    as floors: the fewest t are the pinned t, and the most t add to them
-    the room that per_host leaves beside the floors of each host."""
+    """Per bound (X, Y, k), the fewest X minus k times the most Y of every
+    placement that keeps pins, on declared hosts, as floors; a positive one
+    breaks the bound in all of them. The most t add to the pinned t the
+    room that per_host leaves beside the floors of each host."""
     if not bounds:
         return []
     fewest: dict[str, int] = {}
@@ -280,8 +272,8 @@ def _pin_shortfalls(bounds: list[tuple[str, str, int]],
         room += max(0, per_host - sum(per_type.values()))
         for type_name, n in per_type.items():
             fewest[type_name] = fewest.get(type_name, 0) + n
-    return _shortfalls(bounds, lambda t: fewest.get(t, 0),
-                       lambda t: fewest.get(t, 0) + room)
+    return [fewest.get(x, 0) - k * (fewest.get(y, 0) + room)
+            for x, y, k in bounds]
 
 
 class _Budget(Exception):
@@ -424,35 +416,61 @@ def _strongly_connected(view: _View, sort: str):
     Below a wiring root the item is evaluated only while open (the possible
     edges span, the sure ones do not), and a move changes one side: after an
     include only the sure edges are tested, after an exclude only the
-    possible ones (Dooms, Deville & Dupont, "CP(Graph)", CP 2005)."""
+    possible ones (Dooms, Deville & Dupont, "CP(Graph)", CP 2005). The
+    possible side keeps a witness, the edges on the paths to the members of
+    its last spanning searches: like a watched literal (Moskewicz et al.,
+    "Chaff", DAC 2001), it answers an exclude that left them all possible,
+    and backtracking only adds edges back. A root evaluation (move None)
+    always searches, so a witness never outlives its placement."""
     members = view.members.setdefault(sort, [])
     sure, possible = view.sure, view.possible
+    witness: list[tuple[dict[int, int], int]] = []
 
     def strongly_connected():
         if len(members) < 2:
             return True
         move = view.move
-        if (move is not False and _spans(sure.adj, members)
-                and _spans(sure.pred, members)):
+        if move is False:
+            for successors, v in witness:
+                if v not in successors:
+                    break
+            else:
+                return None
+        elif _spans(sure.adj, members) and _spans(sure.pred, members):
             return True
-        if move or (_spans(possible.adj, members)
-                    and _spans(possible.pred, members)):
+        elif move:
             return None
-        return False
+        forward = _spans(possible.adj, members)
+        backward = forward and _spans(possible.pred, members)
+        if not backward:
+            return False
+        witness[:] = forward + backward
+        return None
     return strongly_connected
 
 
-def _spans(adj: dict[int, dict[int, int]], members: list[int]) -> bool:
-    """Whether a search along adj from the first member reaches them all."""
+def _spans(adj: dict[int, dict[int, int]],
+           members: list[int]) -> list[tuple[dict[int, int], int]] | None:
+    """None when a search along adj from the first member misses one;
+    else the search tree's edges u -> v on its paths to the members, each
+    as (adj[u], v)."""
     start = members[0]
-    seen = {start}
+    parent = {start: start}
     stack = [start]
     while stack:
-        for v in adj.get(stack.pop(), ()):
-            if v not in seen:
-                seen.add(v)
+        u = stack.pop()
+        for v in adj.get(u, ()):
+            if v not in parent:
+                parent[v] = u
                 stack.append(v)
-    return seen.issuperset(members)
+    if not parent.keys() >= set(members):
+        return None
+    edges = []
+    for v in members:  # up to the start, or to an edge already taken
+        while (u := parent.pop(v, v)) != v:
+            edges.append((adj[u], v))
+            v = u
+    return edges
 
 
 def _anchored(expr, x: str, placing: bool) -> bool:
@@ -652,9 +670,7 @@ class _Search:
         budget = self.opts.node_budget
         if budget is None:
             budget = sys.maxsize
-        counts = view.counts
-        lo_sum = lambda t: sum(counts(t)[0])
-        hi_sum = lambda t: sum(counts(t)[1])
+        zeros = view.zeros
         i = 0
         while True:
             k = tried[i]
@@ -677,7 +693,12 @@ class _Search:
             fresh = self._settle([groups[g] for g in touched])
             if fresh is None:
                 continue
-            if any(d > 0 for d in _shortfalls(self.bounds, lo_sum, hi_sum)):
+            cut = False  # a bound |X| <= m |Y| fails in every completion
+            for x, y, m in self.bounds:
+                if sum(lo.get(x, zeros)) > m * sum(hi.get(y, zeros)):
+                    cut = True
+                    break
+            if cut:
                 self.bound_cuts += 1
                 continue
             saved[i] = [(g, groups[g]) for g in touched]

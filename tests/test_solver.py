@@ -905,10 +905,28 @@ class TestStrongConnectivity:
     when it tests only the side that an include or exclude changed."""
 
     @pytest.mark.parametrize("body", ["reachable(b1, b2)", "reachable(b2, b1)"])
-    def test_random_moves_match_the_per_pair_items(self, body):
+    def test_random_moves_match_the_per_pair_items(self, body, monkeypatch):
+        """Also as after an exclude in every later state of a placement
+        whose root value was None (as _wire evaluates it) and whose sure
+        edges do not span, also after backtracking: such an evaluation may
+        answer from the witness of an earlier search, with no search. The
+        first evaluation after view.place searches, so a witness from the
+        last placement cannot answer it."""
         search = _mesh_search(body)
         view, mesh = search.view, search.clauses[-1]
         assert (mesh.sort, mesh.anchored) == (None, False)
+        searches, real = [], solver._spans
+        monkeypatch.setattr(solver, "_spans", lambda adj, members: (
+            searches.append(adj), real(adj, members))[1])
+        witnessed = Counter()  # exclude-side evaluations, by whether searched
+
+        def after_exclude():
+            if rooted and _pairwise(view, members) is not True:
+                view.move, before = False, len(searches)
+                assert mesh.body() is _pairwise(view, members)
+                view.move = None
+                witnessed[len(searches) > before] += 1
+
         rng = helpers.rng(101)
         sizes, values, sided = Counter(), Counter(), Counter()
         for n in range(120):
@@ -926,6 +944,7 @@ class TestStrongConnectivity:
             exclude = rng.random()
             got = None
             for i in [None] + moves:
+                searched = len(searches)
                 if i is not None:
                     roll = rng.random()
                     new = -1 if roll < exclude else 1 if roll < 0.9 else 0
@@ -937,18 +956,25 @@ class TestStrongConnectivity:
                         assert mesh.body() is _pairwise(view, members)
                         view.move = None
                         sided[new] += 1
+                    after_exclude()
                 got = mesh.body()
                 assert got is _pairwise(view, members)
+                if i is None:  # the root searches the possible edges
+                    rooted = got is None
+                    assert any(adj is view.possible.adj for adj in
+                               searches[searched:]) is (len(members) > 1)
                 sizes[min(len(members), 3)] += 1
                 values[got] += 1
             for i in reversed(moves):
                 _set_status((view.sure, view.possible), candidates[i],
                             status[i], 0)
                 status[i] = 0
+                after_exclude()
                 assert mesh.body() is _pairwise(view, members)
         assert min(sizes[n] for n in range(4)) >= 20
         assert min(values[v] for v in (True, None, False)) >= 100
         assert min(sided.values()) >= 100 and len(sided) == 2
+        assert witnessed[False] >= 100 and witnessed[True] >= 100
 
     @pytest.mark.parametrize("clause, sort", [
         ("forall B b1, b2, b3 in deployment ( reachable(b1, b2) )", "B"),
@@ -1105,16 +1131,69 @@ class TestCompiledClauses:
 
     @pytest.mark.parametrize("op", ["<=", "<", ">=", ">", "=", "!="])
     def test_interval_comparisons_against_every_pair(self, op):
-        """True when every pair of values in the two intervals compares
-        true, False when none does, None otherwise."""
+        """A compiled comparison is True when every pair of values in its
+        operands' intervals compares true, False when none does, None
+        otherwise: a count against a count and a literal on either side,
+        with counts of `instancesof` (lo, hi) and of `connectedto` (sure,
+        possible neighbours) over every interval in [0, 3]."""
         holds = {"<=": int.__le__, "<": int.__lt__, ">=": int.__ge__,
                  ">": int.__gt__, "=": int.__eq__, "!=": int.__ne__}[op]
+        view = evaluator._View(["A"])
+        view.start(["m0"])
+        view.lo["A"][:], view.hi["A"][:] = [0], [0]
+        hosted = lang.Card(lang.InstancesOf("A", "h"))
+        degree = lang.Card(lang.ConnectedTo("A", "x", "p"))
+
+        def show(operand, lo, hi):
+            """operand as the interval [lo, hi]; a literal must be lo."""
+            if operand is hosted:
+                view.lo["A"][0], view.hi["A"][0] = lo, hi
+            elif operand is degree:
+                view.sure.degree[0, "A"] = lo
+                view.possible.degree[0, "A"] = hi
+            return operand if isinstance(operand, lang.Card) \
+                else lang.IntLiteral(lo)
+
         intervals = [(lo, hi) for lo in range(4) for hi in range(lo, 4)]
+        shapes = Counter()
         for (a, b), (c, d) in itertools.product(intervals, repeat=2):
             outcomes = {holds(x, y) for x in range(a, b + 1)
                         for y in range(c, d + 1)}
             want = outcomes.pop() if len(outcomes) == 1 else None
-            assert evaluator._DECIDE[op](a, b, c, d) is want
+            for lhs, rhs in [(hosted, degree), (degree, hosted),
+                             (hosted, hosted), (degree, degree),
+                             (hosted, "k"), ("k", degree), ("k", "k")]:
+                if (lhs == "k" and a != b or rhs == "k" and c != d
+                        or lhs == rhs != "k" and (a, b) != (c, d)):
+                    continue  # a literal is one value, one count one interval
+                expr = lang.Compare(op, show(lhs, a, b), show(rhs, c, d))
+                compiled = evaluator._compile(expr, view, {"h": 1, "p": 2},
+                                              [None, 0, 0])
+                assert compiled() is want, (lhs, rhs, a, b, c, d)
+                shapes[lhs, rhs] += 1
+        assert min(shapes.values()) >= 4 and len(shapes) == 7
+
+    @pytest.mark.parametrize("index", [1, 3])
+    def test_a_ground_item_of_leaves_is_one_python_call(self, index):
+        """randc's client clause (1) and router-pair clause (3): each ground
+        item is an exists whose body is an `and` of leaves, tested in the
+        quantifier's own loop, so one item is one Python call."""
+        doc = helpers.randc_doc(6)
+        search = solver._Search(doc, doc.constraintset("randc"),
+                                solver._check_options(doc, SolveOptions()))
+        placement = solver._Placement(doc, {
+            (f"h{h}", "Router" if h in (3, 4) else "Client"): 1
+            for h in range(1, 7)})
+        candidates = solver._candidate_edges(placement, search.patterns)
+        search.view.place(placement, candidates)
+        for edge in candidates[::3]:  # a wiring node: some edges included
+            search.view.sure.add(edge)
+        values = []
+        for body, slot, v in search.clauses[index].items(search.view):
+            search.env[slot] = v
+            calls = helpers.python_calls(lambda: values.append(body()))
+            assert list(calls.values()) == [1]
+        assert len(values) >= 2 and None in values
 
     @pytest.mark.parametrize("kind, body, members, value", [
         ("forall", "1 = 2", 0, True), ("exists", "1 = 1", 0, False),
