@@ -120,36 +120,54 @@ class _EdgeSet:
 
     def reset(self, types: list[str], edges: list[_Edge] = ()) -> None:
         """Hold exactly edges over instances of the given types. The
-        containers are emptied in place: compiled clauses hold them."""
-        for part in (self.families, self.adj, self.pred, self.degree):
+        containers are emptied in place: compiled clauses hold them. An
+        adjacency map's inner dicts are new ones, so a reference to an old
+        one (a mesh witness, see solver._strongly_connected) goes stale."""
+        families, adj, pred, degree = (self.families, self.adj, self.pred,
+                                       self.degree)
+        for part in (families, adj, pred, degree):
             part.clear()
         self._types = types
-        self.families.update(edges)
-        for edge in edges:
-            self._link(edge.src, edge.dst, 1)
+        families.update(edges)
+        for u, _, v, _ in edges:  # add's bookkeeping, inline
+            out = adj.setdefault(u, {})
+            n = out[v] = out.get(v, 0) + 1
+            pred.setdefault(v, {})[u] = n
+            if n == 1 and u not in adj.get(v, ()):
+                for key in ((u, types[v]), (v, types[u])):
+                    degree[key] = degree.get(key, 0) + 1
 
     def add(self, edge: _Edge) -> None:
+        """Include edge. Several port families can join the same two
+        instances: u and v become neighbours only with the first edge
+        between them in either direction."""
         self.families.add(edge)
-        self._link(edge.src, edge.dst, 1)
+        u, _, v, _ = edge
+        adj = self.adj
+        out = adj.setdefault(u, {})
+        n = out[v] = out.get(v, 0) + 1
+        self.pred.setdefault(v, {})[u] = n
+        if n == 1 and u not in adj.get(v, ()):
+            degree, types = self.degree, self._types
+            for key in ((u, types[v]), (v, types[u])):
+                degree[key] = degree.get(key, 0) + 1
 
     def remove(self, edge: _Edge) -> None:
+        """Drop edge, which the set holds: u and v stop being neighbours
+        only with the last edge between them in either direction."""
         self.families.discard(edge)
-        self._link(edge.src, edge.dst, -1)
-
-    def _link(self, u: int, v: int, step: int) -> None:
-        """Several port families can join the same two instances: u and v
-        become or stop being neighbours only with the first or last edge
-        between them in either direction."""
-        out, into = self.adj.setdefault(u, {}), self.pred.setdefault(v, {})
-        n = out.get(v, 0) + step
+        u, _, v, _ = edge
+        adj = self.adj
+        out, into = adj[u], self.pred[v]
+        n = out[v] - 1
         if n:
             out[v] = into[u] = n
         else:
             del out[v], into[u]
-        if n == (1 if step > 0 else 0) and u not in self.adj.get(v, ()):
-            degree, types = self.degree, self._types
-            for key in ((u, types[v]), (v, types[u])):
-                degree[key] = degree.get(key, 0) + step
+            if u not in adj.get(v, ()):
+                degree, types = self.degree, self._types
+                for key in ((u, types[v]), (v, types[u])):
+                    degree[key] -= 1
 
 
 class _View:
@@ -193,17 +211,19 @@ class _View:
         return (self.lo.get(type_name, self.zeros),
                 self.hi.get(type_name, self.zeros))
 
-    def place(self, placement, candidates: list[_Edge]) -> None:
-        """Show the solver's complete placement with no edge included or
-        excluded."""
+    def place(self, placement, possible: list[_Edge],
+              sure: list[_Edge] = ()) -> None:
+        """Show the solver's complete placement with the edges of sure
+        included and every edge not in possible excluded: a wiring root
+        with possible its candidates, or a leaf with sure = possible."""
         for type_name, lo in self.lo.items():
             hi = self.hi[type_name]
             for h, host in enumerate(self.host_names):
                 lo[h] = hi[h] = placement.counts.get((host, type_name), 0)
         for type_name, members in self.members.items():
             members[:] = placement.by_type.get(type_name, ())
-        self.sure.reset(placement.types)
-        self.possible.reset(placement.types, candidates)
+        self.sure.reset(placement.types, sure)
+        self.possible.reset(placement.types, possible)
         self.move = None
 
 

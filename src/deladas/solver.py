@@ -54,6 +54,23 @@ placement. Each decision includes or excludes one edge in the view's
 incremental edge sets and is undone on backtrack. A wiring includes at most
 n squared channels for n instances.
 
+A re-solve that keeps prior channels and stops at its first solution, with
+node budget left for the root and all m candidates, first shows each
+placement its leftmost leaf: every candidate at its first open option, an
+include for a prior channel unless max_channels or a used non-variadic
+port forbids it, an exclude for any other. It settles the root items once
+there. If none is False, the leaf is the plain search's first solution for
+the placement: a False item is false in every completion, so no node on the
+path to a leaf where every item holds can cut. The leaf is accepted and
+counted as the path's m + 1 nodes, so solutions and node counts are the
+plain search's (the zero-discrepancy probe of Harvey & Ginsberg, "Limited
+discrepancy search", IJCAI 1995; keeping the prior is solution reuse in
+dynamic CSPs, Verfaillie & Schiex, AAAI 1994). Otherwise the view goes
+back to the root state and the search runs as without the probe. A refill
+of the edge sets makes new adjacency maps, and the mesh witness still
+points at the old ones, so after any refill a root evaluation must run
+before an exclude is evaluated: the probe runs before the root evaluation.
+
 No recursion. Both phases are loops over explicit stacks that undo their
 own decisions, and a node calls nothing deeper than the item closures, so
 a solve's deepest frame lies a fixed distance below its caller whatever
@@ -334,6 +351,22 @@ def _pattern_ends(patterns: list[tuple[str, str, str, str]],
             for pat in patterns}
 
 
+def _leftmost(placement: _Placement, kept: list[_Edge],
+              fixed: list[tuple[tuple[int, str], ...]]) -> list[_Edge]:
+    """The included edges of the leftmost leaf of a wiring whose candidates
+    start with kept, the prior's channels, tried include-first, and whose
+    non-variadic ends are fixed: each of kept while the leaf has fewer than
+    placement.max_channels channels and none of its ends is in use. Every
+    other candidate is tried exclude-first, so the leaf excludes it."""
+    leaf: list[_Edge] = []
+    used: set[tuple[int, str]] = set()
+    for edge, ends in zip(kept, fixed):
+        if len(leaf) < placement.max_channels and used.isdisjoint(ends):
+            leaf.append(edge)
+            used.update(ends)
+    return leaf
+
+
 def _fixed_families(placement: _Placement, candidates: list[_Edge],
                     ends: dict) -> list[tuple[tuple[int, str], ...]]:
     """Per candidate, its (instance, port) ends whose port is non-variadic,
@@ -421,7 +454,8 @@ def _strongly_connected(view: _View, sort: str):
     its last spanning searches: like a watched literal (Moskewicz et al.,
     "Chaff", DAC 2001), it answers an exclude that left them all possible,
     and backtracking only adds edges back. A root evaluation (move None)
-    always searches, so a witness never outlives its placement."""
+    always searches, and one runs after every refill of the edge sets
+    before any exclude, so a witness never outlives the maps it reads."""
     members = view.members.setdefault(sort, [])
     sure, possible = view.sure, view.possible
     witness: list[tuple[dict[int, int], int]] = []
@@ -735,18 +769,32 @@ class _Search:
         number = {iid: n for n, iid in enumerate(placement.ids)}
         prior = {(number[u], p, number[v], q) for u, p, v, q in self.prior_edges
                  if u in number and v in number}
+        kept: list[_Edge] = []
         if prior:
-            candidates = ([e for e in candidates if e in prior]
-                          + [e for e in candidates if e not in prior])
+            kept = [e for e in candidates if e in prior]
+            candidates = kept + [e for e in candidates if e not in prior]
         order = [(True, False) if e in prior else (False, True)
                  for e in candidates]
         fixed = _fixed_families(placement, candidates, self.ends)
+        n, m = len(placement.instances), len(candidates)
+        # The node count and budget check, inlined: placement nodes stay put
+        # while one placement is wired.
+        limit = self.opts.node_budget
+        limit = sys.maxsize if limit is None else limit - self.placement_nodes
+        nodes = self.wiring_nodes
+        # A search that stops at its first solution, with the budget for
+        # the path to the leftmost leaf, shows that leaf first (see _probe).
+        leaf = (_leftmost(placement, kept, fixed)
+                if kept and self.opts.solution_limit == 1
+                and nodes + m < limit else None)
         view = self.view
-        view.place(placement, candidates)
+        if leaf is None:
+            view.place(placement, candidates)
+        else:
+            view.place(placement, leaf, leaf)
         sure, possible = view.sure, view.possible
         used_fixed: set[tuple[int, str]] = set()
         chosen: list[_Edge] = []
-        n, m = len(placement.instances), len(candidates)
         # Open items by anchor instance; groups[n] holds the unanchored ones.
         groups: list[list[tuple]] = [[] for _ in range(n + 1)]
         # Root items carry their anchor (their group) as a fourth element.
@@ -755,13 +803,11 @@ class _Search:
             clause = self.clauses[index]
             root += [item + (item[2] if clause.anchored else n,)
                      for item in clause.items(view)]
+        if leaf is not None and self._probe(placement, candidates, leaf, root):
+            self.wiring_nodes = nodes + m + 1  # the root and one per edge
+            return False
         tried = [0] * (m + 1)
         saved: list = [None] * (m + 1)
-        # The node count and budget check, inlined: placement nodes stay put
-        # while one placement is wired.
-        limit = self.opts.node_budget
-        limit = sys.maxsize if limit is None else limit - self.placement_nodes
-        nodes = self.wiring_nodes
         i = 0
         try:
             while True:
@@ -820,6 +866,19 @@ class _Search:
                         possible.add(edge)
         finally:
             self.wiring_nodes = nodes
+
+    def _probe(self, placement: _Placement, candidates: list[_Edge],
+               leaf: list[_Edge], root: list[tuple]) -> bool:
+        """Settle every root item on the leftmost leaf, which the view
+        shows; if none is False, accept the leaf, the plain search's first
+        solution (see the module docstring), and return True. Else put the
+        view back to the root state and return False."""
+        if self._settle((root,)) is not None:
+            self._accept(placement, leaf)
+            return True
+        self.view.sure.reset(placement.types)
+        self.view.possible.reset(placement.types, candidates)
+        return False
 
     def _accept(self, placement: _Placement, edges: list[_Edge]) -> None:
         config = _materialize(self.doc, placement, edges, self.reuse)

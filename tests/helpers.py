@@ -204,10 +204,10 @@ def operation_calls() -> dict[str, int]:
     solution, the repair of a client host's crash (h1) and of a router
     host's (h7), and the restart of the process of its first instance
     (Client@h1#0), each from the event's injection until the fabric idles;
-    the repair of the middle router host's crash (h27) on the 32-host
-    first solution; and cold satisfies (parse, merge, solve, write the
-    DDD) at 5, 8 and 32 hosts. Each operation runs once uncounted first,
-    so that its goal is compiled."""
+    the repairs of a client host's crash (h1) and of the middle router
+    host's (h27) on the 32-host first solution; and cold satisfies (parse,
+    merge, solve, write the DDD) at 5, 8 and 32 hosts. Each operation runs
+    once uncounted first, so that its goal is compiled."""
     def crashed(event, hosts: int = 8) -> int:
         calls = 0
         for _ in range(2):
@@ -227,6 +227,8 @@ def operation_calls() -> dict[str, int]:
             lambda m: fabric.CrashHost(10, "h7")),
         "process restart (Client@h1#0)": crashed(
             lambda m: fabric.CrashProcess(10, m.deployed.instances[0].id)),
+        "client-host repair, 32 hosts (h1)": crashed(
+            lambda m: fabric.CrashHost(10, "h1"), 32),
         "router-host repair, 32 hosts (h27)": crashed(
             lambda m: fabric.CrashHost(10, "h27"), 32),
         "cold satisfy, 5 hosts": satisfied(5),

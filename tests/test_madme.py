@@ -218,6 +218,26 @@ class TestProcessFailure:
 
 
 class TestHostFailure:
+    def test_a_client_host_repair_evaluates_its_wiring_once(self):
+        """A client host's crash leaves the surviving wiring valid, so the
+        re-solve settles the wiring's items once, on the leftmost leaf,
+        which keeps every surviving channel, and not once per candidate
+        channel: randc's first solution at 8, 16 and 32 hosts has one
+        instance per host, so the all-pins solve makes one _Search._settle
+        call per surviving host's placement node and one for its wiring."""
+        for hosts in (8, 16, 32):
+            manager = helpers.deployed_manager(hosts)
+            before = manager.deployed
+            manager.fabric.inject(CrashHost(10, "h1"))
+            calls = helpers.python_calls(helpers.repair, manager)
+            assert calls[solver._Search._wire.__code__] == 1
+            assert calls[solver._Search._settle.__code__] == (hosts - 1) + 1
+            families = [{(ch.src.instance, ch.src.port, ch.dst.instance,
+                          ch.dst.port) for ch in config.channels}
+                        for config in (before, manager.deployed)]
+            assert families[1] == {f for f in families[0]
+                                   if "h1" not in (f[0].host, f[2].host)}
+
     def test_a_client_host_re_solve_shares_the_deployed_objects(
             self, monkeypatch):
         """The re-solve after a client host's crash keeps the deployed id

@@ -11,6 +11,7 @@ import generators
 import helpers
 import oracle
 from deladas import ddd, evaluator, lang, model, solver
+from deladas.fabric import CrashHost
 from deladas.lang import DeladasError
 from deladas.model import Binding
 from deladas.solver import (BoundsError, NoSolution, SearchBudgetExceeded,
@@ -787,6 +788,162 @@ class TestSolutionOrderLock:
                         ).stats.evaluations for _ in range(100)]
         digest = hashlib.sha256(repr(counts).encode()).hexdigest()[:16]
         assert digest == self.GENERATED_EVALUATIONS
+
+
+def _recorded_solves(monkeypatch, run) -> list[tuple]:
+    """Call run() and return the arguments of every solver.solve call it
+    makes, the relaxation's and the manager's included."""
+    calls, real = [], solver.solve
+
+    def recording(doc, cs_name, opts=None):
+        calls.append((doc, cs_name, opts or SolveOptions()))
+        return real(doc, cs_name, opts)
+    monkeypatch.setattr(solver, "solve", recording)
+    run()
+    monkeypatch.setattr(solver, "solve", real)
+    return calls
+
+
+class TestLeftmostProbe:
+    """A solve for one solution with a prior settles every root item on the
+    leftmost leaf of a placement first (solver._Search._probe), and accepts
+    that leaf when no item is False. It must return the plain search's
+    first solution at the plain search's node count N: a solve for two
+    solutions, which never probes, has found that solution when its node
+    budget is N and none when it is N - 1. Seeded priors cover probes that
+    succeed and probes that fail."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch) -> Counter:
+        """Probe outcomes, True for an accepted leaf."""
+        seen, real = Counter(), solver._Search._probe
+
+        def probe(search, *args):
+            accepted = real(search, *args)
+            seen[accepted] += 1
+            return accepted
+        monkeypatch.setattr(solver._Search, "_probe", probe)
+        return seen
+
+    @staticmethod
+    def _assert_plain(doc, cs_name, opts):
+        """Also that the solve for one solution finds none with a budget of
+        N - 1 nodes: it probes only when its budget covers the path to the
+        leaf."""
+        one = solve(doc, cs_name, opts._replace(solution_limit=1))
+        nodes = one.stats.nodes
+        if one.solutions:
+            for limit in (1, 2):
+                limited = opts._replace(solution_limit=limit)
+                assert solve(doc, cs_name, limited._replace(
+                    node_budget=nodes)).solutions == one.solutions
+                assert solve(doc, cs_name, limited._replace(
+                    node_budget=nodes - 1)).solutions == ()
+        else:
+            plain = solve(doc, cs_name, opts._replace(solution_limit=2))
+            assert (plain.solutions, plain.exhausted, plain.stats.nodes) == (
+                (), one.exhausted, nodes)
+
+    @pytest.mark.parametrize("hosts", [8, 16, 32])
+    def test_host_crash_repairs(self, hosts, monkeypatch, probes):
+        """Every solve of the repair of a client host's crash (h1) and of
+        the middle router host's, on randc's first solution."""
+        first = solve(helpers.randc_doc(hosts), "randc").solutions[0]
+        routers = [i.id.host for i in first.instances if i.type == "Router"]
+        solves = []
+        for host in ("h1", routers[len(routers) // 2]):
+            manager = helpers.deployed_manager(hosts)
+            manager.fabric.inject(CrashHost(10, host))
+            solves += _recorded_solves(monkeypatch,
+                                       lambda: helpers.repair(manager))
+        for doc, cs_name, opts in solves:
+            assert opts.prior is not None
+            self._assert_plain(doc, cs_name, opts)
+        assert probes[True] and probes[False]
+
+    def test_host_failure_narrative(self, monkeypatch, probes):
+        """The solves of the relaxation after h3 of the example is lost
+        (TestRelaxation.test_host_failure_narrative's inputs)."""
+        doc = helpers.merged_doc()
+        example = helpers.example_configuration()
+        doc5 = lang.SpecDocument(
+            doc.components, tuple(h for h in doc.hosts if h.name != "h3"),
+            doc.constraintsets)
+        surviving = model.restrict_to_hosts(example,
+                                            {h.name for h in doc5.hosts})
+        solves = _recorded_solves(monkeypatch, lambda: resolve_with_relaxation(
+            doc5, "randc", model.bindings_of(surviving),
+            SolveOptions(prior=surviving)))
+        for args in solves:
+            self._assert_plain(*args)
+        assert probes[False]  # its leftmost leaf leaves a client unserved
+
+    def test_pinned_sample_satisfy(self, probes):
+        """The sample goal pinned to, and preferring, the sample
+        deployment, as a satisfy with a pins DDD solves it."""
+        doc = helpers.merged_doc()
+        prior = ddd.parse_ddd(helpers.SAMPLES.joinpath(
+            "example-deployment.xml").read_bytes()).configuration
+        self._assert_plain(doc, "randc", SolveOptions(
+            pins=tuple(model.bindings_of(prior)), prior=prior))
+        assert probes[True]
+
+    @pytest.mark.parametrize("ports, hosts, patterns, prior", [
+        # Six prior channels between two instances: the n² cap keeps four.
+        ("s[], t[], u[]", 2, ["x.s connectsto y.t", "x.t connectsto y.u",
+                              "x.u connectsto y.s"],
+         [(0, "s", 1, "t"), (1, "s", 0, "t"), (0, "t", 1, "u"),
+          (1, "t", 0, "u"), (0, "u", 1, "s"), (1, "u", 0, "s")]),
+        # Two prior channels from one non-variadic port: the first is kept.
+        ("o, i[]", 3, ["x.o connectsto y.i"],
+         [(0, "o", 1, "i"), (0, "o", 2, "i"), (1, "o", 2, "i"),
+          (2, "o", 0, "i")]),
+    ])
+    def test_the_cap_and_fixed_ports_shape_the_leaf(self, ports, hosts,
+                                                     patterns, prior, probes):
+        """A prior that breaks the n² channel cap or uses a non-variadic
+        port twice: the leftmost leaf leaves out the channels that the plain
+        search cannot include."""
+        doc = helpers.parse_snippet(
+            f'component A(code = "a", ports = {{{ports}}})\n'
+            + "".join(f'host m{i} = host(ipaddress = "{i}")\n'
+                      for i in range(hosts))
+            + "constraintset goal = constraintset {\n"
+            "  forall A x in deployment ( exists A y in deployment ( "
+            + " or ".join(patterns) + " ) )\n}\n")
+        ids = [model.InstanceId("A", f"m{i}", 0) for i in range(hosts)]
+        used: Counter = Counter()
+        channels = []
+        for u, p, v, q in prior:
+            channels.append(model.Channel(
+                model.PortSlot(ids[u], p, used[u, p] if p != "o" else None),
+                model.PortSlot(ids[v], q, used[v, q])))
+            used[u, p] += 1
+            used[v, q] += 1
+        config = model.Configuration.build(
+            doc.hosts, [model.Instance(i, "A") for i in ids], channels)
+        self._assert_plain(doc, "goal", SolveOptions(
+            pins=tuple(model.bindings_of(config)), prior=config))
+        assert probes[True]
+
+    def test_generated_goals(self, probes):
+        """Generated goals re-solved with one of their own solutions as
+        prior, with and without a pin, at one and two instances per host."""
+        rng = helpers.rng(61)
+        for _ in range(200):
+            doc = generators.gen_solver_instance(rng)
+            per_host = rng.choice((1, 2))
+            plain = solve(doc, "goal", SolveOptions(
+                solution_limit=4, max_instances_per_host=per_host))
+            if not plain.solutions:
+                continue
+            types = [c.name for c in doc.components]
+            pin = Binding(rng.choice(types), rng.choice(doc.hosts).name, 1)
+            for pins in ((), (pin,)):
+                self._assert_plain(doc, "goal", SolveOptions(
+                    max_instances_per_host=per_host, pins=pins,
+                    prior=rng.choice(plain.solutions)))
+        assert probes[True] >= 10 and probes[False] >= 10
 
 
 class TestIncrementalWiringState:
